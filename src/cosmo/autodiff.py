@@ -6,9 +6,9 @@ rule) to it. ``backward`` walks the tape once in reverse and deposits
 gradients on the leaf tensors. With no tape active, ops compute plain values,
 which is what evaluation code uses.
 
-Tensors are immutable after creation except for their ``grad`` buffer. A tape
-and the tensors recorded on it belong to a single worker; independent tapes
-may run concurrently in separate workers.
+Tensors are immutable after creation except for their ``grad`` buffer. The
+active tape is the top of one stack shared by the whole module, so tapes nest
+but are not safe to use from several threads at once.
 """
 
 from __future__ import annotations
@@ -394,48 +394,20 @@ def rsqrt(a: Tensor) -> Tensor:
     return exp(scale(log(a), -0.5))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    """a / b for strictly positive b."""
-    return mul(a, exp(scale(log(b), -1.0)))
-
-
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values; gradient is zero outside [lo, hi]."""
     out = masked_fill(a, a.data < lo, lo)
     return masked_fill(out, out.data > hi, hi)
 
 
-_OPS = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "scale": scale,
-    "transpose": transpose,
-    "reshape": reshape,
-    "slice": slice_,
-    "concat": concat,
-    "softmax": softmax,
-    "layer_norm": layer_norm,
-    "tanh": tanh,
-    "gelu": gelu,
-    "exp": exp,
-    "log": log,
-    "mean": mean,
-    "sum": sum_,
-    "embedding_lookup": embedding_lookup,
-    "masked_fill": masked_fill,
-}
-
-
-def apply(op_kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch by op name; raises ShapeError on non-conforming inputs."""
-    try:
-        fn = _OPS[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind: {op_kind!r}")
-    if op_kind == "concat":
-        return fn(inputs, **kwargs)
-    return fn(*inputs, **kwargs)
+def add_all(tensors: Sequence[Tensor]) -> Tensor:
+    """Sum of a non-empty list, added left to right in list order."""
+    if not tensors:
+        raise ShapeError("add_all: empty input list")
+    total = tensors[0]
+    for t in tensors[1:]:
+        total = add(total, t)
+    return total
 
 
 # ---------------------------------------------------------------------------

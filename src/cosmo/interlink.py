@@ -9,12 +9,12 @@ threaded into the next prompt to keep the narrative connected.
 
 from __future__ import annotations
 
+import json
 import math
+import urllib.request
 from dataclasses import dataclass, field
 
 import numpy as np
-
-import requests
 
 DEFAULT_HISTORY = 3
 DEFAULT_PENALTY = 1.0
@@ -195,15 +195,18 @@ class HttpAnnotator:
         self.timeout = timeout
 
     def summarize(self, prompt: str) -> str:
+        req = urllib.request.Request(
+            self.endpoint, data=json.dumps({"prompt": prompt}).encode(),
+            headers={"Content-Type": "application/json"}, method="POST")
         try:
-            resp = requests.post(self.endpoint, json={"prompt": prompt},
-                                 timeout=self.timeout)
-            resp.raise_for_status()
-            text = resp.json().get("text")
+            # urlopen raises HTTPError for any 4xx/5xx status
+            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+                body = resp.read().decode("utf-8", errors="replace")
+            text = json.loads(body).get("text")
         except Exception as e:  # noqa: BLE001 - network errors become AnnotatorError
             raise AnnotatorError(str(e)) from e
         if not isinstance(text, str):
-            raise AnnotatorError(f"endpoint returned no text field: {resp.text[:80]}")
+            raise AnnotatorError(f"endpoint returned no text field: {body[:80]}")
         return text
 
 
@@ -228,7 +231,9 @@ def annotate_video(seq: FrameFeatureSeq, clip_annotations: list[ClipAnnotation],
     """Summarize clips in order, threading history; returns (Document, quarantine).
 
     Failed clips are skipped (recorded with a reason) and leave the history
-    unchanged. Summarization is strictly sequential within one video.
+    unchanged. A clip fails when its ``clip_range`` is not a non-empty range
+    of the video's frames or when the client raises. Summarization is strictly
+    sequential within one video.
     """
     from .docs import Document, MediaItem, MediaRef, TextSpan
 
@@ -236,7 +241,14 @@ def annotate_video(seq: FrameFeatureSeq, clip_annotations: list[ClipAnnotation],
     segments = []
     media = []
     quarantine: list[QuarantineRecord] = []
+    n_frames = seq.features.shape[0]
     for ci, ann in enumerate(clip_annotations):
+        lo, hi = ann.clip_range
+        if not 0 <= lo < hi <= n_frames:
+            quarantine.append(QuarantineRecord(
+                clip=ci, reason=f"clip_range {ann.clip_range} is not a non-empty "
+                                f"range of {n_frames} frames"))
+            continue
         prompt = build_prompt(history, ann, is_first=not history,
                               history_window=history_window)
         try:
@@ -244,7 +256,6 @@ def annotate_video(seq: FrameFeatureSeq, clip_annotations: list[ClipAnnotation],
         except Exception as e:  # noqa: BLE001
             quarantine.append(QuarantineRecord(clip=ci, reason=str(e)))
             continue
-        lo, hi = ann.clip_range
         feats = clip_media_features(seq, lo, hi)
         media.append(MediaItem(kind="video", features=feats,
                                source_id=f"{source_id}/clip{ci}"))

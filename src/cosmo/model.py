@@ -39,9 +39,6 @@ class ModelConfig:
     n_patches: int = 4
     d_embed_contrastive: int = 16
     temperature: float = 0.07
-    lambda_lm: float = 1.0
-    lambda_contrastive: float = 1.0
-    contrastive_scope: str = "per_worker"  # or "aggregated"
     max_seq: int = 256
 
     def validate(self) -> None:
@@ -62,8 +59,6 @@ class ModelConfig:
                 f"{self.compress_ratio}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if self.contrastive_scope not in ("per_worker", "aggregated"):
-            raise ValueError(f"unknown contrastive_scope {self.contrastive_scope!r}")
 
     def fusion_positions(self) -> list[int]:
         """Decoder-block indices that get a fusion layer in front of them."""
@@ -426,44 +421,22 @@ def _infonce(text_emb: Tensor, image_emb: Tensor, scale_t) -> Tensor:
 
 
 def contrastive_loss(text_emb: Tensor, image_emb: Tensor, scale_t,
-                     scope: str = "per_worker", n_shards: int = 1) -> Tensor:
+                     n_shards: int = 1) -> Tensor:
     """Symmetric InfoNCE; ``scale_t`` is 1/temperature (Tensor or float).
 
-    Under ``per_worker`` the batch is split into ``n_shards`` equal virtual
-    workers, each scored in isolation, and the shard losses averaged; under
-    ``aggregated`` the shards are concatenated back into one batch first.
+    The batch is split into ``n_shards`` equal virtual workers, each scored
+    in isolation, and the shard losses averaged; one shard scores the whole
+    batch. A batch with fewer than two pairs per shard is scored whole.
     """
     n = text_emb.shape[0]
     if n < 1:
         raise ValueError("contrastive_loss: empty batch")
-    if scope == "aggregated" or n_shards <= 1 or n < 2 * n_shards:
+    if n_shards <= 1 or n < 2 * n_shards:
         return _infonce(text_emb, image_emb, scale_t)
     bounds = np.linspace(0, n, n_shards + 1).astype(int)
     parts = [_infonce(text_emb[lo:hi, :], image_emb[lo:hi, :], scale_t)
              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    total = parts[0]
-    for p in parts[1:]:
-        total = ad.add(total, p)
-    return ad.scale(total, 1.0 / len(parts))
-
-
-def combined_loss(per_type: list[dict]) -> Tensor:
-    """Weighted sum over data types of lambda_lm * L_lm + lambda_c * L_c.
-
-    Each entry: {"weight", "lambda_lm", "lambda_contrastive", "lm": Tensor,
-    "contrastive": Tensor | None}.
-    """
-    if not per_type:
-        raise ValueError("combined_loss: no data types")
-    total = None
-    for item in per_type:
-        term = ad.scale(item["lm"], item["lambda_lm"])
-        if item.get("contrastive") is not None:
-            term = ad.add(term, ad.scale(item["contrastive"],
-                                         item["lambda_contrastive"]))
-        term = ad.scale(term, item["weight"])
-        total = term if total is None else ad.add(total, term)
-    return total
+    return ad.scale(ad.add_all(parts), 1.0 / len(parts))
 
 
 def greedy_decode(model: Model, token_ids: list[int],

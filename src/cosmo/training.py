@@ -46,7 +46,6 @@ class SourceSpec:
 class GuardConfig:
     ema_decay: float = 0.99
     spike_factor: float = 2.0
-    action: str = "scale"  # finite spikes are scaled; NaN is always skipped
 
     def __post_init__(self):
         if self.spike_factor <= 1:
@@ -333,8 +332,8 @@ def adamw_update(model: cm.Model, state: TrainState, lr: float,
     t = state.opt_steps
     for name, p in model.learnable_params.items():
         g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
+        if g is None:  # untouched this step: no moment update, no decay
+            continue
         m = state.adam_m[name] = b1 * state.adam_m[name] + (1 - b1) * g
         v = state.adam_v[name] = b2 * state.adam_v[name] + (1 - b2) * g * g
         mhat = m / (1 - b1 ** t)
@@ -352,10 +351,7 @@ def _batch_lm_loss(model: cm.Model, batch: list[Sample]) -> Tensor:
                                    s.media_positions)
         per.append(cm.lm_loss(logits[0:len(s.token_ids) - 1, :],
                               s.token_ids[1:], s.loss_mask[1:]))
-    total = per[0]
-    for p in per[1:]:
-        total = ad.add(total, p)
-    return ad.scale(total, 1.0 / len(per))
+    return ad.scale(ad.add_all(per), 1.0 / len(per))
 
 
 def _batch_contrastive(model: cm.Model, batch: list[Sample],
@@ -374,7 +370,6 @@ def _batch_contrastive(model: cm.Model, batch: list[Sample],
     t_emb = ts[0] if len(ts) == 1 else ad.concat(ts, axis=0)
     v_emb = vs[0] if len(vs) == 1 else ad.concat(vs, axis=0)
     return cm.contrastive_loss(t_emb, v_emb, cm.logit_scale(model),
-                               scope=model.config.contrastive_scope,
                                n_shards=config.contrastive_shards)
 
 
@@ -424,11 +419,7 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
                                              config.guard.ema_decay)
                 parts.append(ad.scale(loss, lam))
             if parts:
-                total = parts[0]
-                for p in parts[1:]:
-                    total = ad.add(total, p)
-                total = ad.scale(total, spec.weight)
-                ad.backward(total, tape)
+                ad.backward(ad.scale(ad.add_all(parts), spec.weight), tape)
                 any_accepted = True
         row["guard_event"] = ("skip" if all(e == "skip" for e in events)
                               else ("scale" if "scale" in events else "accept"))

@@ -185,6 +185,32 @@ def test_failed_clip_skipped_history_unchanged():
     assert "thing 2" in texts[1]
 
 
+def test_bad_clip_range_quarantined_history_unchanged():
+    class Recorder(MockAnnotator):
+        def __init__(self):
+            self.prompts = []
+
+        def summarize(self, prompt):
+            self.prompts.append(prompt)
+            return super().summarize(prompt)
+
+    rng = np.random.default_rng(4)
+    seq = seq_from(rng.normal(size=(10, 4)))
+    bad = [ClipAnnotation(asr="a", caption="b"),  # default (0, 0) is empty
+           ClipAnnotation(asr="a", caption="b", clip_range=(8, 40)),
+           ClipAnnotation(asr="a", caption="b", clip_range=(6, 3))]
+    anns = [ann(0), bad[0], bad[1], ann(2), bad[2]]
+    client = Recorder()
+    doc, quarantine = ik.annotate_video(seq, anns, client)
+    assert [q.clip for q in quarantine] == [1, 2, 4]
+    assert all("clip_range" in q.reason for q in quarantine)
+    assert len(client.prompts) == 2  # the client never sees a bad clip
+    assert "1. clip showing speaker says thing 0" in client.prompts[1]
+    assert "2." not in client.prompts[1]
+    assert len(doc.media) == 2
+    assert [m.features.shape[0] for m in doc.media] == [2, 2]
+
+
 def test_annotated_doc_roundtrips_through_serialization():
     rng = np.random.default_rng(2)
     seq = seq_from(rng.normal(size=(8, 4)))

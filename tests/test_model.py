@@ -380,39 +380,15 @@ def test_contrastive_scope_shards():
     rng = np.random.default_rng(4)
     t = rng.normal(size=(8, 4))
     v = rng.normal(size=(8, 4))
-    per = cm.contrastive_loss(Tensor(t), Tensor(v), 1.0, scope="per_worker",
-                              n_shards=2).item()
+    per = cm.contrastive_loss(Tensor(t), Tensor(v), 1.0, n_shards=2).item()
     halves = (cm.contrastive_loss(Tensor(t[:4]), Tensor(v[:4]), 1.0).item()
               + cm.contrastive_loss(Tensor(t[4:]), Tensor(v[4:]), 1.0).item()) / 2
     assert abs(per - halves) < 1e-12
-    agg = cm.contrastive_loss(Tensor(t), Tensor(v), 1.0, scope="aggregated",
-                              n_shards=2).item()
-    full = cm.contrastive_loss(Tensor(t), Tensor(v), 1.0).item()
-    assert abs(agg - full) < 1e-12
-
-
-def test_combined_loss_single_type_lm_only():
-    lm = Tensor(0.7)
-    out = cm.combined_loss([{"weight": 1.0, "lambda_lm": 1.0,
-                             "lambda_contrastive": 0.0, "lm": lm,
-                             "contrastive": None}])
-    assert abs(out.item() - 0.7) < 1e-12
-
-
-def test_combined_loss_three_types():
-    items = [{"weight": 1.0, "lambda_lm": 1.0, "lambda_contrastive": 1.0,
-              "lm": Tensor(0.5), "contrastive": Tensor(0.5)} for _ in range(3)]
-    assert abs(cm.combined_loss(items).item() - 3.0) < 1e-12
-
-
-def test_combined_loss_interleaved_weight_doubles():
-    one = cm.combined_loss([{"weight": 1.0, "lambda_lm": 1.0,
-                             "lambda_contrastive": 0.0, "lm": Tensor(0.9),
-                             "contrastive": None}]).item()
-    two = cm.combined_loss([{"weight": 2.0, "lambda_lm": 1.0,
-                             "lambda_contrastive": 0.0, "lm": Tensor(0.9),
-                             "contrastive": None}]).item()
-    assert abs(two - 2 * one) < 1e-12
+    whole = cm._infonce(Tensor(t), Tensor(v), 1.0).item()
+    assert cm.contrastive_loss(Tensor(t), Tensor(v), 1.0, n_shards=1).item() == whole
+    assert abs(per - whole) > 1e-6
+    # fewer than two pairs per shard: the batch is scored whole
+    assert cm.contrastive_loss(Tensor(t), Tensor(v), 1.0, n_shards=5).item() == whole
 
 
 # -- gradients --------------------------------------------------------------

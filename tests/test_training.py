@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -263,6 +264,43 @@ def test_paired_type_gets_contrastive(tiny_setup):
     loader.start_epoch(state.rng)
     rows = tr.train_step(model, loader.next_cycle(state.rng), state, config)
     assert all(r["c_loss"] is not None for r in rows)
+
+
+def test_source_weight_scales_gradient(tiny_setup):
+    vocab, specs, model0, tmp = tiny_setup
+    config = cfg(grad_clip=0.0, max_steps=3)
+    sources = tr.make_sources(specs[:1], vocab, config)
+    loader = CycleLoader(sources, "min")
+    loader.start_epoch(np.random.default_rng(0))
+    (spec, batch), = loader.next_cycle(np.random.default_rng(1))
+    grads = []
+    for weight in (1.0, 2.0):
+        model = cm.build(model0.config, seed=0)
+        rows = tr.train_step(model, [(dataclasses.replace(spec, weight=weight), batch)],
+                             tr.init_state(model, seed=0), config)
+        assert rows[0]["c_loss"] is not None  # both losses are weighted
+        grads.append({k: p.grad for k, p in model.learnable_params.items()})
+    for k, g in grads[0].items():
+        np.testing.assert_array_equal(grads[1][k], 2.0 * g, err_msg=k)
+
+
+def test_untouched_params_not_updated(tiny_setup):
+    vocab, specs, model, tmp = tiny_setup
+    config = cfg(lambda_contrastive=0.0, max_steps=4)
+    sources = tr.make_sources(specs[:1], vocab, config)
+    state = tr.init_state(model, seed=0)
+    loader = CycleLoader(sources, "min")
+    loader.start_epoch(state.rng)
+    head = [k for k in model.learnable_params if k.startswith("contrastive/")]
+    before = {k: model.learnable_params[k].data.copy() for k in head}
+    for _ in range(2):
+        tr.train_step(model, loader.next_cycle(state.rng), state, config)
+    assert state.opt_steps == 2
+    for k in head:
+        np.testing.assert_array_equal(model.learnable_params[k].data, before[k],
+                                      err_msg=k)
+        assert not state.adam_m[k].any() and not state.adam_v[k].any(), k
+    assert model.learnable_params["fusion2/gate"].data[0] != 0.0
 
 
 def test_loss_decreases_on_fixed_caption(tiny_setup):

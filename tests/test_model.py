@@ -5,6 +5,7 @@ import pytest
 
 from cosmo import autodiff as ad
 from cosmo import model as cm
+from cosmo import training as tr
 from cosmo.autodiff import Tape, Tensor
 from cosmo.model import ModelConfig
 
@@ -389,6 +390,79 @@ def test_contrastive_scope_shards():
     assert abs(per - whole) > 1e-6
     # fewer than two pairs per shard: the batch is scored whole
     assert cm.contrastive_loss(Tensor(t), Tensor(v), 1.0, n_shards=5).item() == whole
+
+
+# -- the combined objective, as train_step forms it --------------------------
+
+def _sample(rng, n=6, paired=True):
+    ids = rng.integers(5, 50, size=n).tolist()
+    return tr.Sample(ids, [media(rng)], [(0, 0)], np.ones(n),
+                     text_span=(1, n) if paired else None)
+
+
+def _source(data_type, weight=1.0):
+    return tr.SourceSpec(data_type, data_type, weight, [])
+
+
+def _cycle_grads(cycle, **train_kw):
+    """Gradients of one train_step over ``cycle`` on a fresh model (no clipping)."""
+    model = cm.build(toy_config(), seed=0)
+    config = tr.TrainConfig(schedule="constant", warmup_steps=1, max_steps=3,
+                            grad_clip=0.0, **train_kw)
+    rows = tr.train_step(model, cycle, tr.init_state(model, seed=0), config)
+    return rows, {k: p.grad for k, p in model.learnable_params.items()}
+
+
+def test_combined_loss_single_type_lm_only():
+    rng = np.random.default_rng(5)
+    batch = [_sample(rng), _sample(rng)]
+    rows, grads = _cycle_grads([(_source("image_text"), batch)],
+                               lambda_contrastive=0.0)
+    assert rows[0]["c_loss"] is None
+    model = cm.build(toy_config(), seed=0)
+    with Tape() as tape:
+        lm = tr._batch_lm_loss(model, batch)
+        ad.backward(lm, tape)
+    assert rows[0]["lm_loss"] == lm.item()
+    for k, p in model.learnable_params.items():
+        if p.grad is None:
+            assert grads[k] is None, k
+        else:
+            np.testing.assert_array_equal(grads[k], p.grad, err_msg=k)
+
+
+def test_combined_loss_three_types():
+    rng = np.random.default_rng(6)
+    cycle = [(_source("image_text"), [_sample(rng), _sample(rng)]),
+             (_source("video_text"), [_sample(rng), _sample(rng)]),
+             (_source("interleaved_image"), [_sample(rng, paired=False)])]
+    rows, grads = _cycle_grads(cycle)
+    assert [r["c_loss"] is not None for r in rows] == [True, True, False]
+    # reference: every source adds 1 * (1 * L_lm + 1 * L_c), L_c on paired types
+    model = cm.build(toy_config(), seed=0)
+    config = tr.TrainConfig(warmup_steps=1)
+    for spec, batch in cycle:
+        terms = [tr._batch_lm_loss]
+        if spec.data_type in tr.PAIRED_TYPES:
+            terms.append(lambda m, b: tr._batch_contrastive(m, b, config))
+        for term in terms:
+            with Tape() as tape:
+                ad.backward(term(model, batch), tape)
+    for k, p in model.learnable_params.items():
+        np.testing.assert_allclose(grads[k], p.grad, rtol=1e-10, atol=1e-14,
+                                   err_msg=k)
+
+
+def test_combined_loss_interleaved_weight_doubles():
+    rng = np.random.default_rng(7)
+    batch = [_sample(rng, paired=False)]
+    _, one = _cycle_grads([(_source("interleaved_image", 1.0), batch)])
+    _, two = _cycle_grads([(_source("interleaved_image", 2.0), batch)])
+    for k, g in one.items():
+        if g is None:
+            assert two[k] is None, k
+        else:
+            np.testing.assert_array_equal(two[k], 2.0 * g, err_msg=k)
 
 
 # -- gradients --------------------------------------------------------------

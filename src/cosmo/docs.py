@@ -1,15 +1,20 @@
 """Tokenization, interleaved document serialization, and window sampling.
 
-A document is a sequence of text spans and media references. Serialization
-emits ``<s>``, then one ``<Visual>`` placeholder per media reference and the
-tokens of each text span followed by ``<EOC>``. Training windows are cut
+This module alone knows the serialized layout. A document is a sequence of
+text spans and media references. ``serialize`` emits ``<s>``, then one
+``<Visual>`` placeholder per media reference and the tokens of each text span
+followed by ``<EOC>``; it also returns where each placeholder and each span's
+tokens landed, so no caller has to re-derive them. Training windows are cut
 around a randomly chosen anchor media with a small random left shift.
+
+A shard is two files: ``x.jsonl`` holds one JSON record per document, and
+``x.jsonl.bin`` holds every media item's float32 features back to back. Each
+media record names its ``offset`` into the ``.bin`` file and its ``shape``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -150,18 +155,23 @@ class Document:
         return [s for s in self.segments if isinstance(s, TextSpan)]
 
 
-def serialize(doc: Document, vocab: Vocab) -> tuple[list[int], list[tuple[int, int]]]:
-    """Token ids plus (position, media_id) entries for every media reference."""
+def serialize(doc: Document, vocab: Vocab
+              ) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, int]]]:
+    """Token ids, (position, media_id) per media reference, and the
+    ``[lo, hi)`` token range of each text span (its ``<EOC>`` excluded)."""
     ids = [BOS]
     media_slice: list[tuple[int, int]] = []
+    text_slice: list[tuple[int, int]] = []
     for seg in doc.segments:
         if isinstance(seg, MediaRef):
             media_slice.append((len(ids), seg.media_id))
             ids.append(VISUAL)
         else:
+            lo = len(ids)
             ids.extend(vocab.tokenize(seg.text))
+            text_slice.append((lo, len(ids)))
             ids.append(EOC)
-    return ids, media_slice
+    return ids, media_slice, text_slice
 
 
 @dataclass
@@ -180,43 +190,44 @@ def sample_window(doc_tokens: list[int], media_slice: list[tuple[int, int]],
     """Cut an L-token window anchored at a random media reference.
 
     The window starts up to 8 tokens left of the anchor's placeholder and
-    truncates at the document end; padding happens at batch time. The loss
-    mask zeroes placeholders and any position whose governing media (the
-    latest reference at or before it) fell outside the window.
+    truncates at the document end; padding happens at batch time. The mask
+    is ``loss_mask`` of the window.
     """
     if L < 8:
         raise ValueError(f"window length must be >= 8, got {L}")
     n = len(doc_tokens)
     if not media_slice:
         ids = doc_tokens[:L]
-        return Window(ids, [], _mask(ids, doc_tokens, [], 0), None)
+        return Window(ids, [], loss_mask(ids, [], 0), None)
     k = int(rng.integers(len(media_slice)))
     anchor_pos, anchor_media = media_slice[k]
     if n <= L:  # the whole document fits: no cut, every media kept
         return Window(list(doc_tokens), list(media_slice),
-                      _mask(doc_tokens, doc_tokens, media_slice, 0), anchor_media)
+                      loss_mask(doc_tokens, media_slice, 0), anchor_media)
     shift = int(rng.integers(0, min(MAX_SHIFT, anchor_pos, L - 1) + 1))
     start = anchor_pos - shift
     ids = doc_tokens[start:start + L]
     window_media = [(p - start, m) for p, m in media_slice
                     if start <= p < start + len(ids)]
-    mask = _mask(ids, doc_tokens, media_slice, start)
-    return Window(ids, window_media, mask, anchor_media)
+    return Window(ids, window_media, loss_mask(ids, media_slice, start),
+                  anchor_media)
 
 
-def _mask(ids: list[int], doc_tokens: list[int],
-          media_slice: list[tuple[int, int]], start: int) -> np.ndarray:
-    """Target eligibility per window position."""
-    mask = np.ones(len(ids), dtype=np.int8)
-    visual_positions = {p for p, _ in media_slice}
-    for i, tok in enumerate(ids):
-        if tok in (VISUAL, PAD):
-            mask[i] = 0
-            continue
-        doc_pos = start + i
-        governing = max((p for p in visual_positions if p <= doc_pos), default=None)
-        if governing is not None and governing < start:
-            mask[i] = 0  # its media context was cut off
+def loss_mask(ids: list[int], media_slice: list[tuple[int, int]],
+              start: int) -> np.ndarray:
+    """Target eligibility of the tokens ``ids`` that begin at document
+    position ``start``; ``media_slice`` holds the whole document's media.
+
+    ``<Visual>`` and ``<pad>`` are never targets. A token whose governing
+    media (the latest reference at or before it) lies before ``start`` had
+    its media context cut off: those are exactly the tokens before the
+    window's first own placeholder, when any media precedes the window.
+    """
+    ids = np.asarray(ids)
+    mask = ((ids != VISUAL) & (ids != PAD)).astype(np.int8)
+    if any(p < start for p, _ in media_slice):
+        mask[:min((p - start for p, _ in media_slice if p >= start),
+                  default=len(ids))] = 0
     return mask
 
 
@@ -225,18 +236,15 @@ def _mask(ids: list[int], doc_tokens: list[int],
 
 
 def write_shard(docs: list[Document], path: str) -> None:
-    """Write docs to ``path`` (ndjson) with features in ``path.bin``/``.idx.json``."""
-    bin_path = path + ".bin"
-    idx: dict[str, dict] = {}
+    """Write docs to ``path`` (ndjson) with their features in ``path.bin``."""
     offset = 0
-    with open(bin_path, "wb") as bf, open(path, "w") as sf:
-        for di, doc in enumerate(docs):
+    with open(path + ".bin", "wb") as bf, open(path, "w") as sf:
+        for doc in docs:
             media_recs = []
             for item in doc.media:
                 buf = item.features.astype("<f4").tobytes()
-                idx[str(offset)] = {"shape": list(item.features.shape)}
-                rec = {"kind": item.kind,
-                       "features_ref": f"{os.path.basename(bin_path)}#{offset}",
+                rec = {"kind": item.kind, "offset": offset,
+                       "shape": list(item.features.shape),
                        "source_id": item.source_id}
                 if item.min_side_px is not None:
                     rec["px"] = item.min_side_px
@@ -249,15 +257,10 @@ def write_shard(docs: list[Document], path: str) -> None:
             if doc.doc_id:
                 rec["id"] = doc.doc_id
             sf.write(json.dumps(rec) + "\n")
-    with open(path + ".idx.json", "w") as f:
-        json.dump(idx, f)
 
 
 def read_shard(path: str) -> list[Document]:
-    bin_path = path + ".bin"
-    with open(path + ".idx.json") as f:
-        idx = json.load(f)
-    with open(bin_path, "rb") as f:
+    with open(path + ".bin", "rb") as f:
         blob = f.read()
     docs: list[Document] = []
     with open(path) as f:
@@ -267,11 +270,9 @@ def read_shard(path: str) -> list[Document]:
             rec = json.loads(line)
             media = []
             for mr in rec["media"]:
-                _, _, off = mr["features_ref"].partition("#")
-                shape = idx[off]["shape"]
-                count = int(np.prod(shape))
-                feats = np.frombuffer(blob, dtype="<f4", count=count,
-                                      offset=int(off)).reshape(shape)
+                shape = mr["shape"]
+                feats = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape)),
+                                      offset=mr["offset"]).reshape(shape)
                 media.append(MediaItem(kind=mr["kind"], features=feats.copy(),
                                        source_id=mr.get("source_id", ""),
                                        min_side_px=mr.get("px")))

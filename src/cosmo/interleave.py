@@ -23,10 +23,6 @@ DEFAULT_REPLACE_BELOW = 0.20
 MMC4_BASELINE_THRESHOLD = 0.24
 
 
-class CaptionerError(RuntimeError):
-    """A captioner failed to produce text for a media item."""
-
-
 @dataclass
 class Assignment:
     pairs: list[tuple[int, int]]  # (image_index, text_index)
@@ -176,7 +172,7 @@ def doc_stats(items: list[tuple[Document, np.ndarray, Assignment]]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# shard-level driver used by the CLI
+# shard-level driver
 
 
 def prep_shard(docs_in: list[Document], sims: dict[str, list[list[float]]],

@@ -149,11 +149,9 @@ PROMPT_HEADER = (
     "Keep every noun and action mentioned in the ASR text. Stay concrete.\n")
 
 
-def build_prompt(history: list[str], ann: ClipAnnotation, is_first: bool,
+def build_prompt(history: list[str], ann: ClipAnnotation,
                  history_window: int = DEFAULT_HISTORY) -> str:
     """Byte-stable prompt: instructions, the clip's annotation, recent history."""
-    if is_first != (not history):
-        raise ValueError("is_first must match an empty history")
     lines = [PROMPT_HEADER, "Shot annotation:",
              f"ASR: {ann.asr}", f"Caption: {ann.caption}"]
     if ann.dense_captions:
@@ -161,7 +159,7 @@ def build_prompt(history: list[str], ann: ClipAnnotation, is_first: bool,
         for dc in ann.dense_captions:
             box = ", ".join(f"{v:.2f}" for v in dc.box)
             lines.append(f"- [{box}] {dc.text}")
-    if not is_first:
+    if history:
         lines.append("History (most recent last):")
         for i, h in enumerate(history[-history_window:], 1):
             lines.append(f"{i}. {h}")
@@ -249,8 +247,7 @@ def annotate_video(seq: FrameFeatureSeq, clip_annotations: list[ClipAnnotation],
                 clip=ci, reason=f"clip_range {ann.clip_range} is not a non-empty "
                                 f"range of {n_frames} frames"))
             continue
-        prompt = build_prompt(history, ann, is_first=not history,
-                              history_window=history_window)
+        prompt = build_prompt(history, ann, history_window=history_window)
         try:
             summary = client.summarize(prompt)
         except Exception as e:  # noqa: BLE001

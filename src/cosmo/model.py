@@ -447,9 +447,6 @@ def greedy_decode(model: Model, token_ids: list[int],
     ids = list(token_ids)
     out: list[int] = []
     for _ in range(max_new):
-        if len(ids) > model.config.max_seq:
-            raise ValueError(
-                f"prompt length {len(ids)} exceeds context {model.config.max_seq}")
         logits = forward_logits(model, ids, media_features, media_positions)
         nxt = int(np.argmax(logits.data[-1]))
         if nxt == stop_id:

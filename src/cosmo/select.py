@@ -101,7 +101,11 @@ def kmeans(pairs: list[EmbeddedPair], k: int, max_iters: int = 50,
 
 
 def proportional_quotas(sizes: list[int], m_total: int) -> list[int]:
-    """Largest-remainder rounding of per-cluster quotas, capped by size."""
+    """Largest-remainder rounding of per-cluster quotas.
+
+    No quota exceeds its cluster's size: for m_total < n each floor is at
+    most size - 1 before its +1, and for m_total = n nothing is rounded.
+    """
     n = sum(sizes)
     if m_total > n:
         raise ValueError(f"m_total={m_total} exceeds population {n}")
@@ -112,20 +116,6 @@ def proportional_quotas(sizes: list[int], m_total: int) -> list[int]:
     deficit = m_total - sum(quotas)
     for _, _, neg_i in sorted(remainders, reverse=True)[:deficit]:
         quotas[-neg_i] += 1
-    # cap at size; hand overflow to the largest cluster with headroom
-    for i in range(len(quotas)):
-        if quotas[i] > sizes[i]:
-            spill = quotas[i] - sizes[i]
-            quotas[i] = sizes[i]
-            order = sorted(range(len(quotas)), key=lambda j: sizes[j] - quotas[j],
-                           reverse=True)
-            for j in order:
-                room = sizes[j] - quotas[j]
-                take = min(room, spill)
-                quotas[j] += take
-                spill -= take
-                if spill == 0:
-                    break
     return quotas
 
 

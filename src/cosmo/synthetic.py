@@ -243,9 +243,8 @@ def episode_prompt(episode: FewShotEpisode, vocab: Vocab
     media.append(MediaItem("image", episode.query, source_id="query"))
     segments.append(MediaRef(len(media) - 1))
     doc = Document(segments=segments, media=media, doc_id="episode")
-    tokens, media_slice = serialize(doc, vocab)
-    feats = [m.features.astype(np.float64) for m in media]
-    return tokens, feats, list(media_slice)
+    tokens, media_slice, _ = serialize(doc, vocab)
+    return tokens, [m.features for m in media], list(media_slice)
 
 
 def decode_caption(model: cm.Model, vocab: Vocab, episode: FewShotEpisode,
@@ -260,20 +259,19 @@ def decode_caption(model: cm.Model, vocab: Vocab, episode: FewShotEpisode,
 
 def caption_text_embedding(model: cm.Model, vocab: Vocab, caption: str
                            ) -> np.ndarray:
-    """Text-tower embedding of a caption, phrased exactly like a pair doc."""
-    from .docs import BOS, EOC, VISUAL
-
-    words = vocab.tokenize(caption)
-    tokens = [BOS, VISUAL] + words + [EOC]
+    """Text-tower embedding of a caption, serialized as a pair doc whose
+    media item is blank."""
+    blank = MediaItem("image", np.zeros((1, 1, model.config.d_vision)))
+    tokens, _, text_slice = serialize(
+        Document(segments=[MediaRef(0), TextSpan(caption)], media=[blank]), vocab)
     th = cm.encode_text_unimodal(model, tokens)
-    t, _ = cm.contrastive_embed(
-        model, th, cm.encode_media(model, [np.zeros((1, 1, model.config.d_vision))]),
-        text_span=(2, 2 + len(words)))
+    t, _ = cm.contrastive_embed(model, th, cm.encode_media(model, [blank.features]),
+                                text_span=text_slice[0])
     return t.data[0]
 
 
 def media_embedding(model: cm.Model, features: np.ndarray) -> np.ndarray:
-    vt = cm.encode_media(model, [np.asarray(features, dtype=np.float64)])
+    vt = cm.encode_media(model, [features])
     zero_text = cm.encode_text_unimodal(model, [0])
     _, v = cm.contrastive_embed(model, zero_text, vt)
     return v.data[0]

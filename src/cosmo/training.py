@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import model as cm
 from .autodiff import Tape, Tensor
 from .checkpoint import ArchiveError, load_archive, save_archive
-from .docs import Vocab, read_shard, sample_window, serialize
+from .docs import Vocab, loss_mask, read_shard, sample_window, serialize
 
 PAIRED_TYPES = ("image_text", "video_text")
 DATA_TYPES = ("image_text", "video_text", "interleaved_image", "interleaved_video")
@@ -163,7 +163,6 @@ class DataSource:
     def __init__(self, spec: SourceSpec, vocab: Vocab, batch_size: int,
                  window_len: int):
         self.spec = spec
-        self.vocab = vocab
         self.batch_size = batch_size
         self.window_len = window_len
         self.docs = []
@@ -172,22 +171,8 @@ class DataSource:
         if not self.docs:
             raise ValueError(f"source {spec.name!r} has no documents")
         self._serialized = [serialize(d, vocab) for d in self.docs]
-        self._spans = [self._caption_span(d) for d in self.docs]
         self.perm: np.ndarray | None = None
         self.cursor = 0
-        self.epochs_done = 0
-
-    def _caption_span(self, doc) -> tuple[int, int] | None:
-        if self.spec.data_type not in PAIRED_TYPES:
-            return None
-        from .docs import TextSpan
-        pos = 1
-        for seg in doc.segments:
-            if isinstance(seg, TextSpan):
-                n = len(self.vocab.tokenize(seg.text))
-                return (pos, pos + n)
-            pos += 1  # a media placeholder occupies one token
-        return None
 
     @property
     def n_batches(self) -> int:
@@ -213,14 +198,12 @@ class DataSource:
         return batch
 
     def _make_sample(self, i: int, rng: np.random.Generator) -> Sample | None:
-        doc = self.docs[i]
-        tokens, media_slice = self._serialized[i]
-        feats = [m.features.astype(np.float64) for m in doc.media]
+        tokens, media_slice, text_slice = self._serialized[i]
+        feats = [m.features for m in self.docs[i].media]
         if self.spec.data_type in PAIRED_TYPES:
-            from .docs import _mask
-            mask = _mask(tokens, tokens, media_slice, 0)
-            return Sample(tokens, feats, list(media_slice), mask,
-                          text_span=self._spans[i])
+            return Sample(tokens, feats, list(media_slice),
+                          loss_mask(tokens, media_slice, 0),
+                          text_span=text_slice[0] if text_slice else None)
         w = sample_window(tokens, media_slice, self.window_len, rng)
         if len(w.token_ids) < 2 or w.loss_mask[1:].sum() == 0:
             return None
@@ -290,6 +273,7 @@ class CycleLoader:
 class TrainState:
     step: int = 0
     opt_steps: int = 0
+    param_steps: dict[str, int] = field(default_factory=dict)  # Adam's t per parameter
     emas: dict[str, float] = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
     rng: np.random.Generator = field(
@@ -303,6 +287,7 @@ def init_state(model: cm.Model, seed: int) -> TrainState:
     for name, p in model.learnable_params.items():
         state.adam_m[name] = np.zeros_like(p.data)
         state.adam_v[name] = np.zeros_like(p.data)
+        state.param_steps[name] = 0
     return state
 
 
@@ -327,13 +312,15 @@ def clip_gradients(model: cm.Model, max_norm: float) -> float:
 
 def adamw_update(model: cm.Model, state: TrainState, lr: float,
                  config: TrainConfig) -> None:
+    """One AdamW step. A parameter is bias-corrected by its own count of
+    updates, so one that sat out some steps resumes with a fresh-sized step."""
     b1, b2 = config.betas
     state.opt_steps += 1
-    t = state.opt_steps
     for name, p in model.learnable_params.items():
         g = p.grad
         if g is None:  # untouched this step: no moment update, no decay
             continue
+        t = state.param_steps[name] = state.param_steps[name] + 1
         m = state.adam_m[name] = b1 * state.adam_m[name] + (1 - b1) * g
         v = state.adam_v[name] = b2 * state.adam_v[name] + (1 - b2) * g * g
         mhat = m / (1 - b1 ** t)
@@ -492,6 +479,7 @@ def save_checkpoint(path: str, model: cm.Model, state: TrainState,
         "train": {
             "config": config.to_dict(),
             "opt_steps": state.opt_steps,
+            "param_steps": state.param_steps,
             "emas": state.emas,
             "events": state.events,
             "rng_state": state.rng.bit_generator.state,
@@ -518,6 +506,7 @@ def load_checkpoint(path: str) -> tuple[cm.Model, TrainState, TrainConfig,
         p.data = arrays[name]
     tr = manifest["train"]
     state = TrainState(step=manifest["step"], opt_steps=tr["opt_steps"],
+                       param_steps=dict(tr["param_steps"]),
                        emas=dict(tr["emas"]), events=list(tr["events"]))
     rng = np.random.default_rng(0)
     rng.bit_generator.state = tr["rng_state"]
@@ -525,13 +514,6 @@ def load_checkpoint(path: str) -> tuple[cm.Model, TrainState, TrainConfig,
     for name in model.learnable_params:
         state.adam_m[name] = arrays["optim/m/" + name]
         state.adam_v[name] = arrays["optim/v/" + name]
-    train_config = TrainConfig(**_decode_train_config(tr["config"]))
+    train_config = TrainConfig(**tr["config"])
     vocab = Vocab.from_dict(manifest["vocab"])
     return model, state, train_config, vocab, tr.get("loader")
-
-
-def _decode_train_config(d: dict) -> dict:
-    d = dict(d)
-    if isinstance(d.get("guard"), dict):
-        d["guard"] = GuardConfig(**d["guard"])
-    return d

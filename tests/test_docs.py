@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cosmo import docs
-from cosmo.docs import (BOS, EOC, VISUAL, Document, MediaItem, MediaRef,
-                        TextSpan, Vocab, build_vocab, sample_window, serialize)
+from cosmo.docs import (BOS, EOC, PAD, VISUAL, Document, MediaItem, MediaRef,
+                        TextSpan, Vocab, build_vocab, loss_mask, sample_window,
+                        serialize)
 
 
 def make_media(d=4, frames=1, patches=2, kind="image", seed=0, **kw):
@@ -65,27 +67,51 @@ def test_roundtrip_mixed_known_unknown():
 def test_serialize_media_then_text():
     v = build_vocab(["hi there"], max_size=300)
     doc = Document(segments=[MediaRef(0), TextSpan("hi")], media=[make_media()])
-    ids, media_slice = serialize(doc, v)
+    ids, media_slice, text_slice = serialize(doc, v)
     assert ids == [BOS, VISUAL, v.word_to_id["hi"], EOC]
     assert media_slice == [(1, 0)]
+    assert text_slice == [(2, 3)]
 
 
 def test_serialize_text_only():
     v = build_vocab(["a b"], max_size=300)
     doc = Document(segments=[TextSpan("a")], media=[])
-    ids, media_slice = serialize(doc, v)
+    ids, media_slice, text_slice = serialize(doc, v)
     assert ids == [BOS, v.word_to_id["a"], EOC]
     assert media_slice == []
+    assert text_slice == [(1, 2)]
 
 
 def test_serialize_counts():
     v = build_vocab(["x y"], max_size=300)
     doc = Document(segments=[MediaRef(0), TextSpan("x"), MediaRef(1), TextSpan("y")],
                    media=[make_media(), make_media()])
-    ids, media_slice = serialize(doc, v)
+    ids, media_slice, _ = serialize(doc, v)
     assert ids.count(VISUAL) == 2
     assert ids.count(EOC) == 2
     assert len(media_slice) == 2
+
+
+@given(st.lists(st.one_of(st.none(), st.text(alphabet="abqz ", max_size=12)),
+                min_size=1, max_size=8))
+def test_text_slice_reproduces_span_tokens(segments):
+    """None stands for a media reference, a string for a text span."""
+    v = build_vocab(["a b"], max_size=300)
+    media = [make_media() for s in segments if s is None]
+    segs, m = [], 0
+    for s in segments:
+        if s is None:
+            segs.append(MediaRef(m))
+            m += 1
+        else:
+            segs.append(TextSpan(s))
+    ids, media_slice, text_slice = serialize(Document(segs, media), v)
+    spans = [s for s in segments if s is not None]
+    assert len(text_slice) == len(spans)
+    for (lo, hi), text in zip(text_slice, spans):
+        assert ids[lo:hi] == v.tokenize(text)
+        assert ids[hi] == EOC
+    assert [ids[p] for p, _ in media_slice] == [VISUAL] * len(media)
 
 
 def test_document_validation():
@@ -203,6 +229,28 @@ def test_cut_off_media_context_masked():
                 assert w.loss_mask[vis1 + 1:].sum() > 0
 
 
+def _mask_by_definition(ids, media_slice, start):
+    """Per token: not a placeholder or pad, and its governing media (the
+    latest reference at or before it) is not cut off before ``start``."""
+    out = []
+    for i, tok in enumerate(ids):
+        governing = max((p for p, _ in media_slice if p <= start + i), default=None)
+        out.append(int(tok not in (VISUAL, PAD)
+                       and (governing is None or governing >= start)))
+    return out
+
+
+@given(st.lists(st.sampled_from([BOS, EOC, VISUAL, PAD, 300, 301]), max_size=40),
+       st.integers(0, 40), st.integers(0, 40))
+def test_loss_mask_matches_definition(tokens, start, length):
+    media_slice = [(p, m) for m, p in
+                   enumerate(i for i, t in enumerate(tokens) if t == VISUAL)]
+    ids = tokens[start:start + length]
+    mask = loss_mask(ids, media_slice, start)
+    assert mask.dtype == np.int8
+    assert mask.tolist() == _mask_by_definition(ids, media_slice, start)
+
+
 def test_no_media_doc_window_starts_at_zero():
     rng = np.random.default_rng(5)
     tokens = [BOS] + list(range(300, 340))
@@ -233,6 +281,8 @@ def test_shard_roundtrip(tmp_path):
     assert loaded[1].media[0].kind == "video"
     np.testing.assert_allclose(loaded[1].media[1].features,
                                doc2.media[1].features, rtol=1e-6)
-    ids_a, _ = serialize(loaded[0], v)
-    ids_b, _ = serialize(doc1, v)
+    ids_a, _, _ = serialize(loaded[0], v)
+    ids_b, _, _ = serialize(doc1, v)
     assert ids_a == ids_b
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shard.jsonl",
+                                                          "shard.jsonl.bin"]

@@ -118,14 +118,14 @@ def ann(i, boxes=0):
 
 
 def test_first_prompt_has_no_history():
-    p = build_prompt([], ann(0), is_first=True)
+    p = build_prompt([], ann(0))
     assert "History" not in p
     assert "speaker says thing 0" in p
 
 
 def test_history_window_holds_last_three():
     history = [f"summary {i}" for i in range(5)]  # clips 0..4 summarized
-    p = build_prompt(history, ann(5), is_first=False, history_window=3)
+    p = build_prompt(history, ann(5), history_window=3)
     assert "summary 2" in p and "summary 3" in p and "summary 4" in p
     assert "summary 1" not in p
     i2, i3, i4 = (p.index(f"summary {i}") for i in (2, 3, 4))
@@ -133,14 +133,9 @@ def test_history_window_holds_last_three():
 
 
 def test_prompt_byte_stable():
-    a = build_prompt(["s"], ann(1, boxes=2), is_first=False)
-    b = build_prompt(["s"], ann(1, boxes=2), is_first=False)
+    a = build_prompt(["s"], ann(1, boxes=2))
+    b = build_prompt(["s"], ann(1, boxes=2))
     assert a == b
-
-
-def test_prompt_first_flag_consistency():
-    with pytest.raises(ValueError):
-        build_prompt(["x"], ann(0), is_first=True)
 
 
 def test_box_validation():
@@ -218,7 +213,7 @@ def test_annotated_doc_roundtrips_through_serialization():
     doc, _ = ik.annotate_video(seq, anns, MockAnnotator())
     vocab = build_vocab([s.text for s in doc.segments
                          if isinstance(s, TextSpan)], max_size=400)
-    ids, media_slice = serialize(doc, vocab)
+    ids, media_slice, _ = serialize(doc, vocab)
     assert len(media_slice) == 4
     assert ids.count(1) == 4  # one <EOC> per text span
 

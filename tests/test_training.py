@@ -303,6 +303,21 @@ def test_untouched_params_not_updated(tiny_setup):
     assert model.learnable_params["fusion2/gate"].data[0] != 0.0
 
 
+def test_skipped_param_resumes_with_fresh_adam_step():
+    # Each parameter is bias-corrected by its own update count: one that sat
+    # out 29 steps takes a first Adam step of lr, as a fresh parameter does.
+    a = Tensor(np.zeros(1), requires_grad=True)
+    b = Tensor(np.zeros(1), requires_grad=True)
+    model = cm.Model(config=None, seed=0, learnable_params={"a": a, "b": b})
+    state = tr.init_state(model, seed=0)
+    for step in range(30):
+        a.grad = np.ones(1)
+        b.grad = np.ones(1) if step == 29 else None
+        tr.adamw_update(model, state, 1.0, cfg(weight_decay=0.0))
+    assert b.data[0] == pytest.approx(-1.0, rel=1e-6)
+    assert (state.opt_steps, state.param_steps) == (30, {"a": 30, "b": 1})
+
+
 def test_loss_decreases_on_fixed_caption(tiny_setup):
     vocab, specs, model, tmp = tiny_setup
     # The fusion gates start at zero and Adam moves a gate by about lr per
@@ -392,6 +407,7 @@ def test_checkpoint_roundtrip(tiny_setup):
     loaded_model, loaded_state, loaded_config, loaded_vocab, loader_state = \
         tr.load_checkpoint(str(tmp / "out" / "final.ckpt"))
     assert loaded_state.step == state.step
+    assert loaded_state.param_steps == state.param_steps
     for k, p in model.learnable_params.items():
         np.testing.assert_array_equal(loaded_model.learnable_params[k].data,
                                       p.data)

@@ -23,14 +23,6 @@ DEFAULT_REPLACE_BELOW = 0.20
 MMC4_BASELINE_THRESHOLD = 0.24
 
 
-@dataclass
-class Assignment:
-    pairs: list[tuple[int, int]]  # (image_index, text_index)
-
-    def total(self, scores: np.ndarray) -> float:
-        return float(sum(scores[i, t] for i, t in self.pairs))
-
-
 def draw_noise(rng: np.random.Generator, shape, sigma: float = DEFAULT_SIGMA,
                clamp: float = DEFAULT_CLAMP) -> np.ndarray:
     """Zero-mean Gaussian noise with every entry clipped to [-clamp, clamp]."""
@@ -47,8 +39,9 @@ def perturb(scores: np.ndarray, rng: np.random.Generator,
     return scores + draw_noise(rng, scores.shape, sigma, clamp)
 
 
-def match(scores: np.ndarray) -> Assignment:
-    """One-to-one image/text assignment maximizing total similarity."""
+def match(scores: np.ndarray) -> list[tuple[int, int]]:
+    """One-to-one image/text assignment maximizing total similarity, as
+    (image_index, text_index) pairs in image order."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or 0 in scores.shape:
         raise ValueError(f"similarity matrix must be 2D and non-empty, "
@@ -57,11 +50,9 @@ def match(scores: np.ndarray) -> Assignment:
         raise ValueError("similarity matrix has non-finite entries")
     if scores.shape[0] <= scores.shape[1]:
         rows, cols = linear_sum_assignment(-scores)
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-    else:
-        rows, cols = linear_sum_assignment(-scores.T)
-        pairs = sorted((i, t) for t, i in zip(rows.tolist(), cols.tolist()))
-    return Assignment(pairs=pairs)
+        return list(zip(rows.tolist(), cols.tolist()))
+    rows, cols = linear_sum_assignment(-scores.T)
+    return sorted((i, t) for t, i in zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass
@@ -83,7 +74,8 @@ class PrepRecord:
                 "original_texts": {str(k): v for k, v in self.original_texts.items()}}
 
 
-def filter_and_replace(doc: Document, scores: np.ndarray, assignment: Assignment,
+def filter_and_replace(doc: Document, scores: np.ndarray,
+                       assignment: list[tuple[int, int]],
                        captioner, replace_below: float = DEFAULT_REPLACE_BELOW,
                        min_image_px: int | None = None,
                        mode: str = "replace") -> tuple[Document | None, PrepRecord]:
@@ -98,8 +90,8 @@ def filter_and_replace(doc: Document, scores: np.ndarray, assignment: Assignment
     if mode not in ("replace", "drop"):
         raise ValueError(f"unknown mode {mode!r}")
     scores = np.asarray(scores, dtype=np.float64)
-    rec = PrepRecord(assignment=list(assignment.pairs))
-    for i, _ in assignment.pairs:
+    rec = PrepRecord(assignment=list(assignment))
+    for i, _ in assignment:
         if not 0 <= i < len(doc.media):
             raise ValueError(f"assignment image index {i} out of range")
 
@@ -109,7 +101,7 @@ def filter_and_replace(doc: Document, scores: np.ndarray, assignment: Assignment
             if m.min_side_px is not None and m.min_side_px < min_image_px:
                 too_small.add(i)
 
-    low = {i: t for i, t in assignment.pairs if scores[i, t] < replace_below}
+    low = {i: t for i, t in assignment if scores[i, t] < replace_below}
     remove = set(too_small)
     if mode == "drop":
         remove |= set(low)
@@ -152,7 +144,8 @@ def filter_and_replace(doc: Document, scores: np.ndarray, assignment: Assignment
     return out, rec
 
 
-def doc_stats(items: list[tuple[Document, np.ndarray, Assignment]]) -> dict:
+def doc_stats(items: list[tuple[Document, np.ndarray, list[tuple[int, int]]]]
+              ) -> dict:
     """Corpus statistics over matched pairs: token length and similarity."""
     if not items:
         raise ValueError("doc_stats: empty input")
@@ -162,7 +155,7 @@ def doc_stats(items: list[tuple[Document, np.ndarray, Assignment]]) -> dict:
         scores = np.asarray(scores, dtype=np.float64)
         spans = doc.text_spans()
         n_media += len(doc.media)
-        for i, t in assignment.pairs:
+        for i, t in assignment:
             tokens.append(len(spans[t].text.split()))
             sims.append(float(scores[i, t]))
     return {"avg_tokens_per_clip": float(np.mean(tokens)),
@@ -200,6 +193,6 @@ def prep_shard(docs_in: list[Document], sims: dict[str, list[list[float]]],
 
 
 def load_sims(path: str) -> dict[str, list[list[float]]]:
+    """Similarity matrices by document id, as ``prep_shard`` takes them."""
     with open(path) as f:
-        raw = json.load(f)
-    return {k: (v["sim"] if isinstance(v, dict) else v) for k, v in raw.items()}
+        return json.load(f)

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .docs import MAX_VIDEO_FRAMES, Document, MediaItem, MediaRef, TextSpan
+
 DEFAULT_HISTORY = 3
 DEFAULT_PENALTY = 1.0
-SUMMARY_FRAMES = 3
 
 
 @dataclass
@@ -214,11 +215,11 @@ class QuarantineRecord:
     reason: str
 
 
-def clip_media_features(seq: FrameFeatureSeq, lo: int, hi: int,
-                        n_frames: int = SUMMARY_FRAMES) -> np.ndarray:
-    """Up to n_frames evenly spaced frames of [lo, hi) as a [f, 1, d] grid."""
+def clip_media_features(seq: FrameFeatureSeq, lo: int, hi: int) -> np.ndarray:
+    """Up to MAX_VIDEO_FRAMES evenly spaced frames of [lo, hi) as a [f, 1, d]
+    grid."""
     span = hi - lo
-    take = min(n_frames, span)
+    take = min(MAX_VIDEO_FRAMES, span)
     idx = lo + (np.arange(take) * span) // take
     return seq.features[idx][:, None, :].astype(np.float32)
 
@@ -233,8 +234,6 @@ def annotate_video(seq: FrameFeatureSeq, clip_annotations: list[ClipAnnotation],
     of the video's frames or when the client raises. Summarization is strictly
     sequential within one video.
     """
-    from .docs import Document, MediaItem, MediaRef, TextSpan
-
     history: list[str] = []
     segments = []
     media = []

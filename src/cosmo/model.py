@@ -236,8 +236,6 @@ def vision_encode(model: Model, features: np.ndarray) -> Tensor:
     Returns [frames * patches, d_vision]; deterministic, carries no gradient.
     """
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim == 2:
-        feats = feats[None]
     if feats.ndim != 3 or feats.shape[-1] != model.config.d_vision:
         raise ValueError(
             f"media features {feats.shape} do not match d_vision "
@@ -334,12 +332,6 @@ def forward_logits(model: Model, token_ids, media_features: list[np.ndarray],
     return fuse_and_decode(model, th, visual, media_positions)
 
 
-def base_lm_logits(model: Model, token_ids) -> Tensor:
-    """The frozen base LM alone, no fusion layers anywhere."""
-    th = encode_text_unimodal(model, token_ids)
-    return fuse_and_decode(model, th, None, [])
-
-
 # ---------------------------------------------------------------------------
 # contrastive head
 
@@ -357,26 +349,32 @@ def _l2_normalize(x: Tensor) -> Tensor:
     return ad.mul(x, ad.rsqrt(ad.add(sq, Tensor(np.full(sq.shape, 1e-24)))))
 
 
+def embed_text(model: Model, text_hidden: Tensor) -> Tensor:
+    """Text tower: pooled, projected, unit-norm [1, d_embed] embedding of the
+    mid-LM states of one caption."""
+    if text_hidden.shape[0] == 0:
+        raise ValueError("embed_text: empty text segment")
+    t = _pool(text_hidden, model.param("contrastive/text_query"))
+    return _l2_normalize(ad.matmul(t, model.param("contrastive/text_head")))
+
+
+def embed_media(model: Model, visual: Tensor) -> Tensor:
+    """Media tower: pooled, projected, unit-norm [1, d_embed] embedding of one
+    media item's resampled tokens."""
+    v = _pool(ad.reshape(visual, (-1, model.config.d_model)),
+              model.param("contrastive/vis_query"))
+    return _l2_normalize(ad.matmul(v, model.param("contrastive/vis_head")))
+
+
 def contrastive_embed(model: Model, text_hidden: Tensor, visual: Tensor,
                       text_span: tuple[int, int] | None = None
                       ) -> tuple[Tensor, Tensor]:
-    """Pooled, projected, unit-norm (text, image) embeddings for one pair.
-
-    The text side reads the mid-LM states from the unimodal half; ``text_span``
-    restricts pooling to the caption's own token positions.
-    """
-    c = model.config
+    """The (text, media) embeddings of one pair; ``text_span`` restricts the
+    text tower to the caption's own token positions."""
     if text_span is not None:
         lo, hi = text_span
         text_hidden = text_hidden[lo:hi, :]
-    if text_hidden.shape[0] == 0:
-        raise ValueError("contrastive_embed: empty text segment")
-    t = _pool(text_hidden, model.param("contrastive/text_query"))
-    vis_flat = ad.reshape(visual, (-1, c.d_model))
-    v = _pool(vis_flat, model.param("contrastive/vis_query"))
-    t = _l2_normalize(ad.matmul(t, model.param("contrastive/text_head")))
-    v = _l2_normalize(ad.matmul(v, model.param("contrastive/vis_head")))
-    return t, v
+    return embed_text(model, text_hidden), embed_media(model, visual)
 
 
 def logit_scale(model: Model) -> Tensor:
@@ -406,11 +404,7 @@ def lm_loss(logits: Tensor, targets, loss_mask) -> Tensor:
 
 def _infonce(text_emb: Tensor, image_emb: Tensor, scale_t) -> Tensor:
     n = text_emb.shape[0]
-    sim = ad.matmul(image_emb, ad.transpose(text_emb))
-    if isinstance(scale_t, Tensor):
-        logits = ad.mul(sim, scale_t)
-    else:
-        logits = ad.scale(sim, float(scale_t))
+    logits = ad.mul(ad.matmul(image_emb, ad.transpose(text_emb)), scale_t)
     eye = Tensor(np.eye(n))
 
     def ce(lg):

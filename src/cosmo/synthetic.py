@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import model as cm
-from .docs import Document, MediaItem, MediaRef, TextSpan, Vocab, serialize
+from .docs import (MAX_VIDEO_FRAMES, Document, MediaItem, MediaRef, TextSpan, Vocab,
+                   serialize)
 
 CLASS_WORDS = ["widget", "gizmo", "sprocket", "lever",
                "crate", "prism", "kettle", "anchor"]
 COLOR_WORDS = ["red", "blue", "green", "amber",
                "violet", "teal", "coral", "slate"]
-VIDEO_FRAMES = 3
 
 
 @dataclass
@@ -32,9 +32,7 @@ class SyntheticTaskSpec:
     n_classes: int = 4
     n_colors: int = 4
     feature_noise: float = 0.05
-    caption_template: str = "{color} {cls}"
     n_train: int = 16  # documents per data type
-    n_eval: int = 500  # evaluation episodes
     seed: int = 0
     d_vision: int = 32
     n_patches: int = 4
@@ -71,8 +69,7 @@ class TaskMeta:
     held_out_combos: list[tuple[int, int]]
 
     def caption(self, ci: int, ri: int, canonical: bool = True) -> str:
-        text = self.spec.caption_template.format(color=COLOR_WORDS[ri],
-                                                 cls=CLASS_WORDS[ci])
+        text = f"{COLOR_WORDS[ri]} {CLASS_WORDS[ci]}"
         if canonical:
             return text
         return " ".join(reversed(text.split()))
@@ -106,7 +103,7 @@ def combo_features(meta: TaskMeta, ci: int, ri: int, rng: np.random.Generator,
                                          size=(spec.n_patches, spec.d_vision))
     frame = patches[None, :, :]
     if video:
-        frame = np.repeat(frame, VIDEO_FRAMES, axis=0)  # identical frames
+        frame = np.repeat(frame, MAX_VIDEO_FRAMES, axis=0)  # identical frames
     return frame.astype(np.float32)
 
 
@@ -259,22 +256,19 @@ def decode_caption(model: cm.Model, vocab: Vocab, episode: FewShotEpisode,
 
 def caption_text_embedding(model: cm.Model, vocab: Vocab, caption: str
                            ) -> np.ndarray:
-    """Text-tower embedding of a caption, serialized as a pair doc whose
-    media item is blank."""
+    """Text-tower embedding of a caption, serialized as in a pair document;
+    the blank media item only fixes the layout and is never encoded."""
     blank = MediaItem("image", np.zeros((1, 1, model.config.d_vision)))
     tokens, _, text_slice = serialize(
         Document(segments=[MediaRef(0), TextSpan(caption)], media=[blank]), vocab)
+    lo, hi = text_slice[0]
     th = cm.encode_text_unimodal(model, tokens)
-    t, _ = cm.contrastive_embed(model, th, cm.encode_media(model, [blank.features]),
-                                text_span=text_slice[0])
-    return t.data[0]
+    return cm.embed_text(model, th[lo:hi, :]).data[0]
 
 
 def media_embedding(model: cm.Model, features: np.ndarray) -> np.ndarray:
-    vt = cm.encode_media(model, [features])
-    zero_text = cm.encode_text_unimodal(model, [0])
-    _, v = cm.contrastive_embed(model, zero_text, vt)
-    return v.data[0]
+    """Media-tower embedding of one media item."""
+    return cm.embed_media(model, cm.encode_media(model, [features])).data[0]
 
 
 def retrieval_at_1(model: cm.Model, vocab: Vocab,

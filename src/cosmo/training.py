@@ -55,9 +55,8 @@ class GuardConfig:
 @dataclass
 class TrainConfig:
     lr_max: float = 5e-4
-    schedule: str = "cosine"  # cosine | constant | cosine_restart | inverse_sqrt
-    warmup_steps: int | None = None
-    warmup_ratio: float | None = None
+    schedule: str = "cosine"  # cosine | constant
+    warmup_steps: int = 0
     max_steps: int = 1000
     betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 0.1
@@ -67,7 +66,6 @@ class TrainConfig:
     lambda_lm: float = 1.0
     lambda_contrastive: float = 1.0
     window_len: int = 128
-    n_restarts: int = 2
     contrastive_shards: int = 1
     guard: GuardConfig = field(default_factory=GuardConfig)
     checkpoint_every: int = 0  # 0: only at the end
@@ -76,20 +74,12 @@ class TrainConfig:
         if isinstance(self.guard, dict):
             self.guard = GuardConfig(**self.guard)
         self.betas = tuple(self.betas)
-        if (self.warmup_steps is None) == (self.warmup_ratio is None):
-            raise ValueError("set exactly one of warmup_steps / warmup_ratio")
         if self.lr_max <= 0:
             raise ValueError("lr_max must be > 0")
-        if self.schedule not in ("cosine", "constant", "cosine_restart",
-                                 "inverse_sqrt"):
+        if self.schedule not in ("cosine", "constant"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.loader_strategy not in ("round_robin", "min", "max"):
             raise ValueError(f"unknown loader strategy {self.loader_strategy!r}")
-
-    def warmup(self) -> int:
-        if self.warmup_steps is not None:
-            return self.warmup_steps
-        return int(round(self.warmup_ratio * self.max_steps))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -102,21 +92,13 @@ def lr_at(step: int, config: TrainConfig) -> float:
     if step < 0:
         raise ValueError("step must be >= 0")
     step = min(step, config.max_steps)
-    w = config.warmup()
+    w = config.warmup_steps
     if w > 0 and step < w:
         return config.lr_max * step / w
-    span = max(1, config.max_steps - w)
     if config.schedule == "constant":
         return config.lr_max
-    if config.schedule == "cosine":
-        p = (step - w) / span
-        return config.lr_max * 0.5 * (1.0 + math.cos(math.pi * p))
-    if config.schedule == "cosine_restart":
-        period = span / config.n_restarts
-        q = ((step - w) % period) / period
-        return config.lr_max * 0.5 * (1.0 + math.cos(math.pi * q))
-    # inverse_sqrt
-    return config.lr_max * math.sqrt(max(1, w) / max(step, max(1, w)))
+    p = (step - w) / max(1, config.max_steps - w)
+    return config.lr_max * 0.5 * (1.0 + math.cos(math.pi * p))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +362,7 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
             parts = []
             events = []
             sub = [("lm", config.lambda_lm, _batch_lm_loss(model, batch))]
-            if spec.data_type in PAIRED_TYPES and config.lambda_contrastive:
+            if config.lambda_contrastive:
                 c = _batch_contrastive(model, batch, config)
                 if c is not None:
                     sub.append(("contrastive", config.lambda_contrastive, c))

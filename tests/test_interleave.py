@@ -60,14 +60,18 @@ def test_noise_clamped_and_std():
 
 def test_match_identity_dominant():
     scores = np.eye(3)
-    assert il.match(scores).pairs == [(0, 0), (1, 1), (2, 2)]
+    assert il.match(scores) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_match_contested_case():
     scores = np.array([[0.9, 0.1], [0.8, 0.2]])
-    a = il.match(scores)
-    assert a.pairs == [(0, 0), (1, 1)]
-    assert abs(a.total(scores) - 1.1) < 1e-12
+    pairs = il.match(scores)
+    assert pairs == [(0, 0), (1, 1)]
+    assert abs(total(scores, pairs) - 1.1) < 1e-12
+
+
+def total(scores, pairs):
+    return float(sum(scores[i, t] for i, t in pairs))
 
 
 def brute_force_best(scores):
@@ -80,26 +84,25 @@ def test_match_against_brute_force_oracle():
     rng = np.random.default_rng(2)
     for _ in range(1000):
         scores = rng.uniform(-1, 1, size=(4, 4))
-        a = il.match(scores)
-        assert abs(a.total(scores) - brute_force_best(scores)) < 1e-9
+        pairs = il.match(scores)
+        assert abs(total(scores, pairs) - brute_force_best(scores)) < 1e-9
 
 
 def test_match_rectangular():
     rng = np.random.default_rng(3)
     for _ in range(200):
         scores = rng.uniform(-1, 1, size=(2, 4))
-        a = il.match(scores)
-        assert len(a.pairs) == 2
-        assert len({i for i, _ in a.pairs}) == 2
-        assert len({t for _, t in a.pairs}) == 2
-        assert abs(a.total(scores) - brute_force_best(scores)) < 1e-9
+        pairs = il.match(scores)
+        assert len(pairs) == 2
+        assert len({i for i, _ in pairs}) == 2
+        assert len({t for _, t in pairs}) == 2
+        assert abs(total(scores, pairs) - brute_force_best(scores)) < 1e-9
     # more images than texts: image indices distinct, texts exhausted
     for _ in range(200):
         scores = rng.uniform(-1, 1, size=(4, 2))
-        a = il.match(scores)
-        assert len(a.pairs) == 2
-        assert abs(a.total(scores)
-                   - brute_force_best(scores.T)) < 1e-9
+        pairs = il.match(scores)
+        assert len(pairs) == 2
+        assert abs(total(scores, pairs) - brute_force_best(scores.T)) < 1e-9
 
 
 def test_match_rejects_non_finite():
@@ -116,7 +119,7 @@ def test_perturb_cannot_overturn_wide_margin():
         diag = base.max(axis=1) + 0.161
         np.fill_diagonal(base, diag)
         noisy = il.perturb(base, rng)
-        assert il.match(noisy).pairs == [(i, i) for i in range(n)]
+        assert il.match(noisy) == [(i, i) for i in range(n)]
 
 
 # -- filter_and_replace -----------------------------------------------------
@@ -200,7 +203,7 @@ def test_doc_stats_single_pair():
                                       "nine ten")],
                    media=media, doc_id="x")
     scores = np.array([[0.5]])
-    stats = il.doc_stats([(doc, scores, il.Assignment([(0, 0)]))])
+    stats = il.doc_stats([(doc, scores, [(0, 0)])])
     assert stats["avg_tokens_per_clip"] == 10
     assert stats["avg_similarity"] == 0.5
     assert stats["counts"]["pairs"] == 1
@@ -212,7 +215,7 @@ def test_doc_stats_average_of_two():
                              TextSpan("c d")],
                    media=media, doc_id="x")
     scores = np.array([[0.2, 0.0], [0.0, 0.4]])
-    stats = il.doc_stats([(doc, scores, il.Assignment([(0, 0), (1, 1)]))])
+    stats = il.doc_stats([(doc, scores, [(0, 0), (1, 1)])])
     assert abs(stats["avg_similarity"] - 0.3) < 1e-12
 
 

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,10 @@ from cosmo import model as cm
 from cosmo import training as tr
 from cosmo.autodiff import Tape, Tensor
 from cosmo.model import ModelConfig
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from perfbench import reference  # noqa: E402
 
 
 def toy_config(**kw):
@@ -193,24 +199,29 @@ def test_zero_gate_identity():
     rng = np.random.default_rng(7)
     ids, feats, pos = make_inputs(m, rng, n_media=2, seq=12)
     with_media = cm.forward_logits(m, ids, feats, pos)
-    base = cm.base_lm_logits(m, ids)
+    base = cm.forward_logits(m, ids, [], [])
     assert np.abs(with_media.data - base.data).max() < 1e-9
 
 
 def test_no_media_passthrough_exact():
+    # with no media the forward is the frozen base LM, which the plain-numpy
+    # reference computes with no fusion layer anywhere
     m = cm.build(toy_config(), seed=7)
     rng = np.random.default_rng(7)
     ids, _, _ = make_inputs(m, rng)
-    a = cm.forward_logits(m, ids, [], [])
-    b = cm.base_lm_logits(m, ids)
-    assert a.data.tobytes() == b.data.tobytes()
+    for k, t in m.learnable_params.items():
+        if k.endswith("gate"):
+            t.data[...] = 1.0
+    got = cm.forward_logits(m, ids, [], []).data
+    want = reference.logits(reference.params_of(m), m.config, ids, [], [])
+    assert np.abs(got - want).max() < 1e-9
 
 
 def test_gate_one_changes_logits():
     m = cm.build(toy_config(), seed=7)
     rng = np.random.default_rng(7)
     ids, feats, pos = make_inputs(m, rng, n_media=1, seq=10)
-    base = cm.base_lm_logits(m, ids)
+    base = cm.forward_logits(m, ids, [], [])
     for k, t in m.learnable_params.items():
         if k.endswith("gate"):
             t.data[...] = 1.0
@@ -294,6 +305,18 @@ def test_contrastive_duplicates_identical():
                                   cm.encode_media(m, [f]))
     assert t1.data.tobytes() == t2.data.tobytes()
     assert v1.data.tobytes() == v2.data.tobytes()
+
+
+def test_towers_equal_contrastive_embed_bit_for_bit():
+    m = cm.build(toy_config(), seed=1)
+    rng = np.random.default_rng(1)
+    ids = rng.integers(5, 50, size=8).tolist()
+    th = cm.encode_text_unimodal(m, ids)
+    vt = cm.encode_media(m, [media(rng, frames=2)])
+    t, v = cm.contrastive_embed(m, th, vt, text_span=(2, 7))
+    assert cm.embed_text(m, th[2:7, :]).data.tobytes() == t.data.tobytes()
+    assert cm.embed_media(m, vt).data.tobytes() == v.data.tobytes()
+    assert t.shape == v.shape == (1, 8)
 
 
 def test_contrastive_empty_text_errors():

@@ -18,6 +18,12 @@ def corpus(tmp_path):
     return meta, build_vocab(sy.corpus_texts(meta), max_size=300)
 
 
+def tiny_model(vocab):
+    return cm.build(cm.ModelConfig(vocab_size=len(vocab), d_model=16, n_heads=2,
+                                   n_latents=2, d_vision=8, n_patches=2,
+                                   d_embed_contrastive=8, max_seq=64), seed=0)
+
+
 def test_corpus_loads_and_pair_spans_cover_captions(tmp_path):
     meta, vocab = corpus(tmp_path)
     specs = [tr.SourceSpec(name, data_type, 1.0, [str(tmp_path / f"{name}.jsonl")])
@@ -61,9 +67,7 @@ def test_episodes_hold_query_combo_in_one_word_order(tmp_path):
 
 def test_eval_fewshot_match_agrees_with_decode(tmp_path):
     meta, vocab = corpus(tmp_path)
-    model = cm.build(cm.ModelConfig(vocab_size=len(vocab), d_model=16, n_heads=2,
-                                    n_latents=2, d_vision=8, n_patches=2,
-                                    d_embed_contrastive=8, max_seq=64), seed=0)
+    model = tiny_model(vocab)
     episodes = sy.make_episodes(meta, 2, 4, np.random.default_rng(2))
     # half the targets are what the model decodes, so both outcomes occur
     episodes = [dataclasses.replace(ep, target=sy.decode_caption(model, vocab, ep))
@@ -73,3 +77,22 @@ def test_eval_fewshot_match_agrees_with_decode(tmp_path):
         sy.decode_caption(model, vocab, ep) == ep.target for ep in episodes]
     assert all(res["per_episode_match"][0::2])
     assert res["caption_exact_match"] == np.mean(res["per_episode_match"])
+
+
+def test_each_tower_embeds_without_the_other(tmp_path, monkeypatch):
+    meta, vocab = corpus(tmp_path)
+    model = tiny_model(vocab)
+    query = sy.combo_features(meta, 0, 1, np.random.default_rng(3))
+
+    def forbidden(*args):
+        raise AssertionError("the other tower was encoded")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cm, "encode_media", forbidden)
+        t = sy.caption_text_embedding(model, vocab, meta.caption(0, 1))
+    with monkeypatch.context() as mp:
+        mp.setattr(cm, "encode_text_unimodal", forbidden)
+        v = sy.media_embedding(model, query)
+    assert t.shape == v.shape == (8,)
+    assert abs(np.linalg.norm(t) - 1.0) < 1e-9
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-9

@@ -73,36 +73,16 @@ def test_constant_schedule():
         assert lr_at(s, c) == 0.3
 
 
-def test_cosine_restart_closed_form():
-    c = cfg(schedule="cosine_restart", warmup_steps=100, max_steps=1100,
-            lr_max=1.0, n_restarts=2)
-    period = (1100 - 100) / 2
-    for step in (100, 350, 600, 601, 850, 1100):
-        q = ((step - 100) % period) / period
-        expected = 0.5 * (1 + math.cos(math.pi * q))
-        assert abs(lr_at(step, c) - expected) < 1e-12
-
-
-def test_inverse_sqrt_closed_form():
-    c = cfg(schedule="inverse_sqrt", warmup_steps=500, max_steps=10_000,
-            lr_max=1.0)
-    assert lr_at(500, c) == 1.0
-    assert abs(lr_at(2000, c) - math.sqrt(500 / 2000)) < 1e-12
-
-
 def test_step_clamped_beyond_max():
-    c = cfg(schedule="cosine", warmup_steps=0, warmup_ratio=None, max_steps=100)
+    c = cfg(schedule="cosine", warmup_steps=0, max_steps=100)
     assert lr_at(150, c) == lr_at(100, c)
 
 
-def test_warmup_ratio():
-    c = TrainConfig(lr_max=1.0, schedule="cosine", warmup_ratio=0.03,
-                    max_steps=1000)
-    assert c.warmup() == 30
-    with pytest.raises(ValueError, match="exactly one"):
-        TrainConfig(warmup_steps=5, warmup_ratio=0.1)
-    with pytest.raises(ValueError, match="exactly one"):
-        TrainConfig()
+def test_default_config_has_no_warmup_and_two_schedules():
+    assert lr_at(0, TrainConfig(lr_max=0.3)) == 0.3
+    for name in ("cosine_restart", "inverse_sqrt"):
+        with pytest.raises(ValueError, match="unknown schedule"):
+            TrainConfig(schedule=name)
 
 
 # -- guard -------------------------------------------------------------------

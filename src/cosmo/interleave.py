@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .docs import Document, MediaRef, TextSpan
 
@@ -48,6 +47,10 @@ def match(scores: np.ndarray) -> list[tuple[int, int]]:
                          f"got shape {scores.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("similarity matrix has non-finite entries")
+    # imported here so that loading cosmo for training or decoding leaves
+    # scipy unloaded (about 40 MB of resident memory)
+    from scipy.optimize import linear_sum_assignment
+
     if scores.shape[0] <= scores.shape[1]:
         rows, cols = linear_sum_assignment(-scores)
         return list(zip(rows.tolist(), cols.tolist()))

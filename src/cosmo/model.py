@@ -187,25 +187,36 @@ def _merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(ad.transpose(x, (1, 0, 2)), (s, h * dh))
 
 
-def _self_attention(model: Model, prefix: str, x: Tensor) -> Tensor:
+def _self_attention(model: Model, prefix: str, x: Tensor,
+                    cache: dict | None = None, start: int = 0) -> Tensor:
+    """Causal self-attention of rows at positions ``start..``. With a cache,
+    the keys and values of earlier positions are read from it and this
+    call's are appended."""
     c = model.config
     s = x.shape[0]
     dh = c.d_model // c.n_heads
     q = _heads(ad.matmul(x, model.param(prefix + "wq")), c.n_heads)
     k = _heads(ad.matmul(x, model.param(prefix + "wk")), c.n_heads)
     v = _heads(ad.matmul(x, model.param(prefix + "wv")), c.n_heads)
+    if cache is not None:
+        if prefix in cache:
+            k_past, v_past = cache[prefix]
+            k, v = ad.concat([k_past, k], axis=1), ad.concat([v_past, v], axis=1)
+        cache[prefix] = (k, v)
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    causal = np.triu(np.ones((s, s), dtype=bool), k=1)
+    causal = np.triu(np.ones((s, k.shape[1]), dtype=bool), k=1 + start)
     scores = ad.masked_fill(scores, causal[None, :, :], NEG_INF)
     attn = ad.softmax(scores, axis=-1)
     out = _merge_heads(ad.matmul(attn, v))
     return ad.matmul(out, model.param(prefix + "wo"))
 
 
-def _block(model: Model, i: int, x: Tensor) -> Tensor:
+def _block(model: Model, i: int, x: Tensor, cache: dict | None = None,
+           start: int = 0) -> Tensor:
     p = f"frozen/block{i}/"
     h = ad.add(x, _self_attention(model, p, _ln(x, model.param(p + "ln1_g"),
-                                                model.param(p + "ln1_b"))))
+                                                model.param(p + "ln1_b")),
+                                  cache, start))
     z = _ln(h, model.param(p + "ln2_g"), model.param(p + "ln2_b"))
     z = ad.add(ad.matmul(z, model.param(p + "mlp_w1")), model.param(p + "mlp_b1"))
     z = ad.add(ad.matmul(ad.gelu(z), model.param(p + "mlp_w2")),
@@ -213,20 +224,26 @@ def _block(model: Model, i: int, x: Tensor) -> Tensor:
     return ad.add(h, z)
 
 
-def encode_text_unimodal(model: Model, token_ids) -> Tensor:
-    """First-half (unimodal) hidden states, causal throughout; [seq, d_model]."""
+def encode_text_unimodal(model: Model, token_ids, cache: dict | None = None,
+                         start: int = 0) -> Tensor:
+    """First-half (unimodal) hidden states, causal throughout; [seq, d_model].
+
+    ``token_ids`` sit at positions ``start..``; the tokens before them are
+    seen through ``cache`` (see ``greedy_decode``).
+    """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size and int(ids.max()) >= model.config.vocab_size:
         raise ValueError(
             f"token id {int(ids.max())} out of vocabulary "
             f"({model.config.vocab_size})")
-    if ids.size > model.config.max_seq:
-        raise ValueError(f"sequence length {ids.size} exceeds context "
+    end = start + ids.size
+    if end > model.config.max_seq:
+        raise ValueError(f"sequence length {end} exceeds context "
                          f"{model.config.max_seq}")
     h = ad.add(ad.embedding_lookup(model.param("frozen/tok_embed"), ids),
-               model.param("frozen/pos_embed")[0:ids.size, :])
+               model.param("frozen/pos_embed")[start:end, :])
     for i in range(model.config.split_index):
-        h = _block(model, i, h)
+        h = _block(model, i, h, cache, start)
     return h
 
 
@@ -270,18 +287,24 @@ def encode_media(model: Model, media_features: list[np.ndarray]) -> Tensor | Non
 
 
 def _fusion(model: Model, pos: int, x: Tensor, vtok_flat: Tensor,
-            visible: np.ndarray) -> Tensor:
+            visible: np.ndarray, cache: dict | None = None) -> Tensor:
     """Gated bottlenecked cross-attention from text to visual tokens.
 
     ``visible[s, m]`` marks which flattened visual tokens each text position
-    may attend to (media-causal). Rows that see nothing pass through.
+    may attend to (media-causal). Rows that see nothing pass through. With a
+    cache, the visual keys and values are computed once and then read back.
     """
     p = f"fusion{pos}/"
     xh = _ln(x, model.param(p + "ln_g"), model.param(p + "ln_b"))
     xb = ad.matmul(xh, model.param(p + "down"))
     q = ad.matmul(xb, model.param(p + "wq"))
-    k = ad.matmul(vtok_flat, model.param(p + "wk"))
-    v = ad.matmul(vtok_flat, model.param(p + "wv"))
+    if cache is not None and p in cache:
+        k, v = cache[p]
+    else:
+        k = ad.matmul(vtok_flat, model.param(p + "wk"))
+        v = ad.matmul(vtok_flat, model.param(p + "wv"))
+        if cache is not None:
+            cache[p] = (k, v)
     db = q.shape[-1]
     scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(db))
     scores = ad.masked_fill(scores, ~visible, NEG_INF)
@@ -294,32 +317,35 @@ def _fusion(model: Model, pos: int, x: Tensor, vtok_flat: Tensor,
 
 
 def fuse_and_decode(model: Model, text_hidden: Tensor, visual: Tensor | None,
-                    media_positions: list[tuple[int, int]]) -> Tensor:
+                    media_positions: list[tuple[int, int]],
+                    cache: dict | None = None, start: int = 0) -> Tensor:
     """Second-half decoder with fusion layers; returns logits [seq, vocab].
 
     ``media_positions`` maps token positions to media indices; a text token
     may only attend to media introduced at or before its own position.
+    ``text_hidden`` holds positions ``start..``, as in ``encode_text_unimodal``.
     """
     c = model.config
     s = text_hidden.shape[0]
+    end = start + s
     if visual is not None:
         n_media = visual.shape[0]
         for tok_pos, m_idx in media_positions:
             if not 0 <= m_idx < n_media:
                 raise ValueError(f"media index {m_idx} out of range ({n_media} items)")
-            if not 0 <= tok_pos < s:
-                raise ValueError(f"media token position {tok_pos} outside sequence {s}")
+            if not 0 <= tok_pos < end:
+                raise ValueError(f"media token position {tok_pos} outside sequence {end}")
         vtok_flat = ad.reshape(visual, (n_media * c.n_latents, c.d_model))
         visible = np.zeros((s, n_media * c.n_latents), dtype=bool)
         for tok_pos, m_idx in media_positions:
             lo = m_idx * c.n_latents
-            visible[tok_pos:, lo:lo + c.n_latents] = True
+            visible[max(tok_pos - start, 0):, lo:lo + c.n_latents] = True
     h = text_hidden
     fusion_at = set(c.fusion_positions())
     for i in range(c.split_index, c.n_layers_total):
         if i in fusion_at and visual is not None:
-            h = _fusion(model, i, h, vtok_flat, visible)
-        h = _block(model, i, h)
+            h = _fusion(model, i, h, vtok_flat, visible, cache)
+        h = _block(model, i, h, cache, start)
     h = _ln(h, model.param("frozen/final_ln_g"), model.param("frozen/final_ln_b"))
     return ad.matmul(h, model.param("frozen/unembed"))
 
@@ -437,14 +463,25 @@ def greedy_decode(model: Model, token_ids: list[int],
                   media_features: list[np.ndarray],
                   media_positions: list[tuple[int, int]],
                   stop_id: int, max_new: int = 16) -> list[int]:
-    """Greedy continuation until ``stop_id`` or ``max_new`` tokens."""
-    ids = list(token_ids)
+    """Greedy continuation until ``stop_id`` or ``max_new`` tokens.
+
+    Decodes with a cache: the media are encoded once, the prompt runs once,
+    and each later pass feeds only the newest token. That pass attends to
+    the keys and values every self-attention block cached for the earlier
+    positions, and to the visual keys and values each fusion layer computed
+    on the first pass. The logits equal those of ``forward_logits`` over the
+    whole sequence up to rounding.
+    """
+    visual = encode_media(model, media_features)
+    cache: dict = {}
+    new, start = list(token_ids), 0
     out: list[int] = []
     for _ in range(max_new):
-        logits = forward_logits(model, ids, media_features, media_positions)
+        th = encode_text_unimodal(model, new, cache, start)
+        logits = fuse_and_decode(model, th, visual, media_positions, cache, start)
         nxt = int(np.argmax(logits.data[-1]))
         if nxt == stop_id:
             break
         out.append(nxt)
-        ids.append(nxt)
+        new, start = [nxt], start + len(new)
     return out

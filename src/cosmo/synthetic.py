@@ -18,8 +18,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import model as cm
-from .docs import (MAX_VIDEO_FRAMES, Document, MediaItem, MediaRef, TextSpan, Vocab,
-                   serialize)
+from .docs import (EOC, MAX_VIDEO_FRAMES, Document, MediaItem, MediaRef, TextSpan,
+                   Vocab, serialize, write_shard)
 
 CLASS_WORDS = ["widget", "gizmo", "sprocket", "lever",
                "crate", "prism", "kettle", "anchor"]
@@ -117,8 +117,6 @@ def _split_combos(spec: SyntheticTaskSpec) -> tuple[list, list]:
 
 def make_synthetic_corpus(spec: SyntheticTaskSpec, out_dir: str) -> TaskMeta:
     """Write the four data-type shards plus task metadata; returns the meta."""
-    from .docs import write_shard
-
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     class_protos = sample_prototypes(rng, spec.n_classes, spec.d_vision)
@@ -246,8 +244,6 @@ def episode_prompt(episode: FewShotEpisode, vocab: Vocab
 
 def decode_caption(model: cm.Model, vocab: Vocab, episode: FewShotEpisode,
                    max_new: int = 8) -> str:
-    from .docs import EOC
-
     tokens, feats, positions = episode_prompt(episode, vocab)
     out_ids = cm.greedy_decode(model, tokens, feats, positions, stop_id=EOC,
                                max_new=max_new)

@@ -13,7 +13,7 @@ from cosmo.model import ModelConfig
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from perfbench import reference  # noqa: E402
+from perfbench import inputs, reference  # noqa: E402
 
 
 def toy_config(**kw):
@@ -274,6 +274,104 @@ def test_media_causality():
     after = cm.forward_logits(m, ids, feats2, pos).data
     np.testing.assert_array_equal(before[:7], after[:7])
     assert np.abs(before[7:] - after[7:]).max() > 0
+
+
+# -- cached greedy decoding -------------------------------------------------
+
+def decode_inputs(seed, n_media=3, seq=20):
+    """A model with the gates opened and the other learnable parameters
+    jittered, and a prompt with image and video media."""
+    m = cm.build(toy_config(), seed=seed)
+    inputs.move_off_init(m, seed)
+    rng = np.random.default_rng([seed, 1])
+    ids = rng.integers(5, m.config.vocab_size, size=seq).tolist()
+    feats = [media(rng, frames=1 + i % 2) for i in range(n_media)]
+    positions = [(1 + 5 * i, i) for i in range(n_media)]
+    return m, ids, feats, positions
+
+
+def argmax_loop(m, ids, feats, pos, stop_id, max_new):
+    """Greedy decoding by a full forward over the whole sequence per token;
+    returns the tokens and each step's last-row logits."""
+    ids, out, rows = list(ids), [], []
+    for _ in range(max_new):
+        rows.append(cm.forward_logits(m, ids, feats, pos).data[-1])
+        nxt = int(np.argmax(rows[-1]))
+        if nxt == stop_id:
+            break
+        out.append(nxt)
+        ids.append(nxt)
+    return out, rows
+
+
+def cached_decode(monkeypatch, m, ids, feats, pos, stop_id, max_new):
+    """``greedy_decode``'s tokens and the last-row logits of each step."""
+    rows = []
+    fuse = cm.fuse_and_decode
+
+    def recording(*args, **kwargs):
+        logits = fuse(*args, **kwargs)
+        rows.append(logits.data[-1])
+        return logits
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cm, "fuse_and_decode", recording)
+        out = cm.greedy_decode(m, ids, feats, pos, stop_id=stop_id, max_new=max_new)
+    return out, rows
+
+
+@pytest.mark.parametrize("seed,n_media", [(0, 3), (1, 3), (2, 2), (3, 0)])
+def test_cached_decode_equals_argmax_loop(monkeypatch, seed, n_media):
+    m, ids, feats, pos = decode_inputs(seed, n_media)
+    want, want_rows = argmax_loop(m, ids, feats, pos, stop_id=-1, max_new=10)
+    got, rows = cached_decode(monkeypatch, m, ids, feats, pos, stop_id=-1,
+                              max_new=10)
+    assert got == want
+    assert len(rows) == len(want_rows) == 10
+    for row, want_row in zip(rows, want_rows):
+        assert np.abs(row - want_row).max() <= 1e-12 * np.abs(want_row).max()
+    # stopping: both stop before the first occurrence of a decoded token
+    stop = want[4]
+    stopped, _ = argmax_loop(m, ids, feats, pos, stop_id=stop, max_new=10)
+    assert cm.greedy_decode(m, ids, feats, pos, stop_id=stop, max_new=10) == stopped
+    assert len(stopped) == want.index(stop)
+
+
+def test_cached_decode_context_error_at_same_step(monkeypatch):
+    m, _, feats, pos = decode_inputs(0)
+    ids = np.random.default_rng(5).integers(5, 50, size=m.config.max_seq - 3).tolist()
+    passes = []
+    encode = cm.encode_text_unimodal
+
+    def recording(*args, **kwargs):
+        passes[-1] += 1
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(cm, "encode_text_unimodal", recording)
+    error = (f"sequence length {m.config.max_seq + 1} exceeds context "
+             f"{m.config.max_seq}")
+    for decode in (argmax_loop, cm.greedy_decode):
+        passes.append(0)
+        with pytest.raises(ValueError, match=error):
+            decode(m, ids, feats, pos, stop_id=-1, max_new=8)
+    # passes 1..4 see max_seq - 3 .. max_seq tokens; the fifth raises
+    assert passes == [5, 5]
+
+
+def test_cached_decode_encodes_each_media_once(monkeypatch):
+    m, ids, feats, pos = decode_inputs(0, n_media=3)
+    calls = {"vision_encode": 0, "resample": 0}
+    for name in calls:
+        fn = getattr(cm, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cm, name, counting)
+    out = cm.greedy_decode(m, ids, feats, pos, stop_id=-1, max_new=6)
+    assert len(out) == 6
+    assert calls == {"vision_encode": 3, "resample": 3}
 
 
 # -- contrastive head -------------------------------------------------------

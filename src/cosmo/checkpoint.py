@@ -7,6 +7,7 @@ then one little-endian float64 buffer per named parameter, in manifest order.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -17,15 +18,26 @@ class ArchiveError(RuntimeError):
 
 
 def save_archive(path: str, manifest: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write the archive to a temporary file beside ``path``, flush it to disk,
+    then rename it over ``path``: a crash mid-save leaves the old file intact."""
     manifest = dict(manifest)
     manifest["params"] = [{"name": k, "shape": list(v.shape)}
                           for k, v in arrays.items()]
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for v in arrays.values():
-            f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for v in arrays.values():
+                f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_archive(path: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -50,34 +50,41 @@ class ShotBoundaries:
 
 
 def _segment_costs(features: np.ndarray) -> np.ndarray:
-    """cost[i, j] = within-segment scatter of frames [i, j), from the Gram matrix."""
+    """cost[i, j] = within-segment scatter of frames [i, j), from the Gram matrix.
+
+    Entries with j <= i are inf.
+    """
     f = features / np.maximum(np.linalg.norm(features, axis=1, keepdims=True), 1e-12)
     gram = f @ f.T
     n = gram.shape[0]
     diag_cum = np.concatenate([[0.0], np.cumsum(np.diag(gram))])
     block = np.zeros((n + 1, n + 1))
     block[1:, 1:] = gram.cumsum(axis=0).cumsum(axis=1)
+    d = np.diag(block)
+    i, j = np.triu_indices(n + 1, k=1)
+    mass = ((d[j] - block[i, j]) - block[j, i]) + d[i]
     cost = np.full((n + 1, n + 1), np.inf)
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            mass = block[j, j] - block[i, j] - block[j, i] + block[i, i]
-            cost[i, j] = diag_cum[j] - diag_cum[i] - mass / (j - i)
+    cost[i, j] = (diag_cum[j] - diag_cum[i]) - mass / (j - i)
     return cost
 
 
 def _dp_tables(cost: np.ndarray, max_cuts: int):
-    """best[m, j]: min scatter of frames [0, j) using m cuts; with backpointers."""
+    """best[m, j]: min scatter of frames [0, j) using m cuts; with backpointers.
+
+    Row m is filled at once from best[m-1, t] + cost[t, j] over every last
+    cut t and end j; cost is inf for t >= j, and argmin takes the earliest t
+    on ties.
+    """
     n = cost.shape[0] - 1
     best = np.full((max_cuts + 1, n + 1), np.inf)
     back = np.zeros((max_cuts + 1, n + 1), dtype=int)
     best[0] = cost[0]
     best[0, 0] = 0.0
     for m in range(1, max_cuts + 1):
-        for j in range(m + 1, n + 1):
-            cand = best[m - 1, m:j] + cost[m:j, j]
-            t = int(np.argmin(cand)) + m
-            best[m, j] = best[m - 1, t] + cost[t, j]
-            back[m, j] = t
+        cand = best[m - 1, m:n, None] + cost[m:n, m + 1:]
+        t = cand.argmin(axis=0)
+        best[m, m + 1:] = cand[t, np.arange(n - m)]
+        back[m, m + 1:] = t + m
     return best, back
 
 
@@ -102,10 +109,12 @@ def kts_segment(seq: FrameFeatureSeq, mode: str = "auto",
     if mode == "fixed":
         if n_cuts is None:
             raise ValueError("fixed mode needs n_cuts")
-        if n_cuts >= n:
-            raise ValueError(f"n_cuts={n_cuts} must be < n_frames={n}")
+        if not 0 <= n_cuts < n:
+            raise ValueError(f"n_cuts={n_cuts} must be in [0, n_frames={n})")
         m_hi = n_cuts
     elif mode == "auto":
+        if max_cuts < 0:
+            raise ValueError(f"max_cuts={max_cuts} must be >= 0")
         m_hi = min(max_cuts, n - 1)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -62,9 +62,13 @@ def kmeans(pairs: list[EmbeddedPair], k: int, max_iters: int = 50,
 
     Stops when assignments stop changing or after max_iters. An empty cluster
     is repaired by stealing the point farthest from its centroid out of the
-    largest cluster.
+    largest cluster. Squared distances to the centroids are computed as
+    ||x||^2 - 2 x.c + ||c||^2 (one matrix product per pass, ||x||^2 once per
+    call), so a point on a centroid can read a tiny nonzero distance.
     """
     n = len(pairs)
+    if k < 1:
+        raise ValueError(f"k={k} must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds number of points {n}")
     if max_iters < 1:
@@ -74,8 +78,9 @@ def kmeans(pairs: list[EmbeddedPair], k: int, max_iters: int = 50,
     centroids = _kmeans_pp_init(x, k, rng)
     labels = np.full(n, -1)
     history: list[float] = []
+    xx = (x * x).sum(axis=1)
     for _ in range(max_iters):
-        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = xx[:, None] - 2.0 * (x @ centroids.T) + (centroids * centroids).sum(axis=1)
         new_labels = d2.argmin(axis=1)
         for empty in range(k):
             if (new_labels == empty).any():
@@ -145,10 +150,11 @@ def distance_uniform_sample(clustering: Clustering, pairs: list[EmbeddedPair],
     for c in range(k):
         if quotas[c] == 0 or not members[c]:
             continue
-        centroid = clustering.centroids[c]
-        dist = {pid: float(np.linalg.norm(by_id[pid].embedding - centroid))
-                for pid in members[c]}
-        ordered = sorted(members[c], key=lambda pid: (dist[pid], pid))
+        diff = np.stack([by_id[pid].embedding for pid in members[c]]) \
+            - clustering.centroids[c]
+        # row-wise BLAS dot: the same sum np.linalg.norm takes of one vector
+        dist = np.sqrt(diff[:, None, :] @ diff[:, :, None]).ravel().tolist()
+        ordered = [pid for _, pid in sorted(zip(dist, members[c]))]
         if mode == "spread":
             selected.extend(ordered[r] for r in spread_ranks(len(ordered), quotas[c]))
         else:

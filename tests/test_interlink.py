@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosmo import interlink as ik
 from cosmo.docs import MediaRef, TextSpan, serialize, build_vocab
@@ -36,7 +37,69 @@ def exhaustive_min_scatter(features, m):
     return best
 
 
+def reference_segment_costs(features):
+    """Per-entry double loop over the cumulative Gram sums that
+    ``_segment_costs`` computes as one array expression."""
+    f = features / np.maximum(np.linalg.norm(features, axis=1, keepdims=True),
+                              1e-12)
+    gram = f @ f.T
+    n = gram.shape[0]
+    diag_cum = np.concatenate([[0.0], np.cumsum(np.diag(gram))])
+    block = np.zeros((n + 1, n + 1))
+    block[1:, 1:] = gram.cumsum(axis=0).cumsum(axis=1)
+    cost = np.full((n + 1, n + 1), np.inf)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            mass = block[j, j] - block[i, j] - block[j, i] + block[i, i]
+            cost[i, j] = diag_cum[j] - diag_cum[i] - mass / (j - i)
+    return cost
+
+
+@st.composite
+def frame_features(draw, max_frames):
+    """Random, constant or all-zero [n, d] frame features."""
+    n = draw(st.integers(2, max_frames))
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "constant", "zero"]))
+    if kind == "zero":
+        return np.zeros((n, d))
+    rows = n if kind == "random" else 1
+    values = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=rows * d,
+                           max_size=rows * d))
+    return np.tile(np.reshape(values, (rows, d)), (n // rows, 1))
+
+
 # -- kts --------------------------------------------------------------------
+
+@given(frame_features(max_frames=40))
+def test_segment_costs_equal_per_entry_loop(feats):
+    cost = ik._segment_costs(feats)
+    np.testing.assert_array_equal(cost, reference_segment_costs(feats))
+    assert np.isinf(cost[np.tril_indices(len(feats) + 1)]).all()
+
+
+@pytest.mark.parametrize("row", [[1.0, 0.0], [0.0, 0.0]])
+def test_constant_sequence_ties_take_earliest_cuts(row):
+    b = kts_segment(seq_from([row] * 7), mode="fixed", n_cuts=2)
+    assert b.cut_indices == [1, 2]
+    assert b.scatter == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_features(max_frames=8), st.integers(0, 8),
+       st.floats(0.0, 3.0, allow_nan=False))
+def test_auto_mode_equals_brute_force_argmin(feats, max_cuts, penalty):
+    n = len(feats)
+    b = kts_segment(seq_from(feats), mode="auto", max_cuts=max_cuts,
+                    penalty=penalty)
+    scatter = [exhaustive_min_scatter(feats, m)
+               for m in range(min(max_cuts, n - 1) + 1)]
+    objective = [s + (penalty * m * (np.log(n / m) + 1) if m else 0.0)
+                 for m, s in enumerate(scatter)]
+    m = len(b.cut_indices)
+    assert abs(b.scatter - scatter[m]) < 1e-9
+    assert objective[m] <= min(objective) + 1e-9
+
 
 def test_two_block_sequence_exact_cut():
     u = np.array([1.0, 0.0, 0.0])
@@ -93,6 +156,10 @@ def test_fixed_mode_validation():
         kts_segment(seq, mode="fixed", n_cuts=4)
     with pytest.raises(ValueError, match="n_cuts"):
         kts_segment(seq, mode="fixed")
+    with pytest.raises(ValueError, match="n_cuts"):
+        kts_segment(seq, mode="fixed", n_cuts=-1)
+    with pytest.raises(ValueError, match="max_cuts"):
+        kts_segment(seq, mode="auto", max_cuts=-2)
 
 
 def test_frame_seq_validation():

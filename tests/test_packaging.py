@@ -1,4 +1,5 @@
-"""The dependency list in pyproject.toml matches what the package imports."""
+"""The dependency lists in pyproject.toml match what the package and its
+tests import."""
 
 import ast
 import os
@@ -11,29 +12,37 @@ tomllib = pytest.importorskip("tomllib")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "cosmo")
+TESTS = os.path.join(ROOT, "tests")
+LOCAL = {"cosmo", "perfbench"}
 
 
-def imported_third_party() -> set[str]:
+def imported_third_party(directory: str) -> set[str]:
     names = set()
-    for fname in os.listdir(PACKAGE):
+    for fname in os.listdir(directory):
         if not fname.endswith(".py"):
             continue
-        with open(os.path.join(PACKAGE, fname)) as f:
+        with open(os.path.join(directory, fname)) as f:
             tree = ast.parse(f.read(), fname)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names.update(a.name.split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return {n for n in names if n not in sys.stdlib_module_names and n != "cosmo"}
+    return {n for n in names if n not in sys.stdlib_module_names and n not in LOCAL}
 
 
-def declared() -> set[str]:
+def declared(extra: str | None = None) -> set[str]:
+    """The runtime dependencies, or those of one optional extra."""
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
-        deps = tomllib.load(f)["project"]["dependencies"]
+        project = tomllib.load(f)["project"]
+    deps = project["optional-dependencies"][extra] if extra else project["dependencies"]
     return {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower().replace("-", "_")
             for d in deps}
 
 
 def test_dependencies_declared_and_used():
-    assert imported_third_party() == declared()
+    assert imported_third_party(PACKAGE) == declared()
+
+
+def test_test_imports_declared():
+    assert imported_third_party(TESTS) <= declared() | declared("test")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cosmo import select as sel
 from cosmo.select import EmbeddedPair, filter_half, kmeans
@@ -71,6 +72,9 @@ def test_k_greater_than_n():
     pairs = make_pairs([[0.0], [1.0]])
     with pytest.raises(ValueError):
         kmeans(pairs, k=3)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"k={k}"):
+            kmeans(pairs, k=k)
 
 
 def test_inertia_monotone_over_100_seeds():
@@ -80,6 +84,42 @@ def test_inertia_monotone_over_100_seeds():
         clustering = kmeans(pairs, k=5, max_iters=30, seed=seed)
         h = clustering.inertia_history
         assert all(b <= a + 1e-9 for a, b in zip(h, h[1:]))
+
+
+@st.composite
+def clouds(draw):
+    """Points drawn with replacement from a few distinct ones, so clusters of
+    duplicates leave k-means++ centroids coinciding and clusters empty."""
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-800, 800).map(lambda v: v / 8)
+    distinct = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                             min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=30))
+    x = np.asarray(distinct, dtype=float)[picks]
+    return x, draw(st.integers(1, len(x))), draw(st.integers(0, 1000))
+
+
+@given(clouds())
+@example((np.ones((5, 2)), 3, 0))
+def test_kmeans_fixed_point_properties(cloud):
+    x, k, seed = cloud
+    pairs = make_pairs(x)
+    max_iters = 30
+    clustering = kmeans(pairs, k=k, max_iters=max_iters, seed=seed)
+    scale = 1e-9 * ((x * x).sum(axis=1).max() + 1.0)
+    h = clustering.inertia_history
+    assert all(b <= a + scale for a, b in zip(h, h[1:]))
+    if len(h) == max_iters:  # stopped by the cap, not at a fixed point
+        return
+    labels = np.array([clustering.assignment[p.id] for p in pairs])
+    c = clustering.centroids
+    d2 = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+    own = d2[np.arange(len(x)), labels]
+    assert (own <= d2.min(axis=1) + scale).all()
+    for j in range(k):
+        members = x[labels == j]
+        assert len(members) > 0
+        np.testing.assert_allclose(c[j], members.mean(axis=0), rtol=1e-12, atol=1e-12)
 
 
 def test_kmeans_deterministic():

@@ -18,13 +18,14 @@ class ArchiveError(RuntimeError):
 
 
 def save_archive(path: str, manifest: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write the archive to a temporary file beside ``path``, flush it to disk,
-    then rename it over ``path``: a crash mid-save leaves the old file intact."""
+    """Write the archive to ``<path>.tmp``, fsync it, rename it over ``path``
+    and fsync the directory, so a crash mid-save leaves the old file intact.
+    A temporary file left by a killed save is overwritten by the next one."""
     manifest = dict(manifest)
     manifest["params"] = [{"name": k, "shape": list(v.shape)}
                           for k, v in arrays.items()]
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.tmp-{os.getpid()}"
+    tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(struct.pack("<Q", len(blob)))
@@ -38,6 +39,11 @@ def save_archive(path: str, manifest: dict, arrays: dict[str, np.ndarray]) -> No
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_archive(path: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -64,7 +64,12 @@ def kmeans(pairs: list[EmbeddedPair], k: int, max_iters: int = 50,
     is repaired by stealing the point farthest from its centroid out of the
     largest cluster. Squared distances to the centroids are computed as
     ||x||^2 - 2 x.c + ||c||^2 (one matrix product per pass, ||x||^2 once per
-    call), so a point on a centroid can read a tiny nonzero distance.
+    call). Its rounding error is about eps * ||x||^2, so it agrees with the
+    direct sum of squared differences only while the points' norms are near
+    the scale of the distances between them (the unit-norm embeddings of
+    `curate` are); far from the origin a distance can read negative and
+    near-equidistant centroids can swap order, changing the assignment and
+    the point the empty-cluster repair takes.
     """
     n = len(pairs)
     if k < 1:

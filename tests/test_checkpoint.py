@@ -31,3 +31,12 @@ def test_crash_mid_save_keeps_previous_archive(tmp_path):
     assert manifest["step"] == 1
     for name, v in arrays.items():
         assert loaded[name].tobytes() == v.tobytes()
+
+
+def test_save_overwrites_temp_file_left_by_killed_save(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    (tmp_path / "model.ckpt.tmp").write_bytes(b"half a checkpoint")
+    save_archive(str(ckpt), {"step": 3}, {"a": np.ones(2)})
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+    manifest, loaded = load_archive(str(ckpt))
+    assert manifest["step"] == 3 and loaded["a"].tolist() == [1.0, 1.0]

@@ -13,7 +13,6 @@ tomllib = pytest.importorskip("tomllib")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "cosmo")
 TESTS = os.path.join(ROOT, "tests")
-LOCAL = {"cosmo", "perfbench"}
 
 
 def imported_third_party(directory: str) -> set[str]:
@@ -28,7 +27,7 @@ def imported_third_party(directory: str) -> set[str]:
                 names.update(a.name.split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return {n for n in names if n not in sys.stdlib_module_names and n not in LOCAL}
+    return {n for n in names if n not in sys.stdlib_module_names and n != "cosmo"}
 
 
 def declared(extra: str | None = None) -> set[str]:
@@ -45,4 +44,6 @@ def test_dependencies_declared_and_used():
 
 
 def test_test_imports_declared():
-    assert imported_third_party(TESTS) <= declared() | declared("test")
+    # perfbench is the repository's benchmark package, importable from the
+    # checkout; only the tests may use it, so only their scan drops it.
+    assert imported_third_party(TESTS) - {"perfbench"} <= declared() | declared("test")

@@ -14,6 +14,7 @@ starting at zero, so a freshly built model is exactly the frozen base LM.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -177,23 +178,34 @@ def _ln(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     return ad.add(ad.mul(ad.layer_norm(x, axis=-1), g), b)
 
 
+@functools.cache  # called per attention op with a handful of distinct args
+def _swapped(ndim: int, a: int, b: int) -> tuple[int, ...]:
+    """The axes of an ``ndim``-D array with axes ``a`` and ``b`` swapped."""
+    axes = list(range(ndim))
+    axes[a], axes[b] = axes[b], axes[a]
+    return tuple(axes)
+
+
 def _heads(x: Tensor, n_heads: int) -> Tensor:
-    s, d = x.shape
-    return ad.transpose(ad.reshape(x, (s, n_heads, d // n_heads)), (1, 0, 2))
+    """[..., s, d] -> [..., heads, s, d / heads]."""
+    *lead, s, d = x.shape
+    x = ad.reshape(x, (*lead, s, n_heads, d // n_heads))
+    return ad.transpose(x, _swapped(x.ndim, -3, -2))
 
 
 def _merge_heads(x: Tensor) -> Tensor:
-    h, s, dh = x.shape
-    return ad.reshape(ad.transpose(x, (1, 0, 2)), (s, h * dh))
+    """[..., heads, s, dh] -> [..., s, heads * dh]."""
+    *lead, h, s, dh = x.shape
+    return ad.reshape(ad.transpose(x, _swapped(x.ndim, -3, -2)), (*lead, s, h * dh))
 
 
 def _self_attention(model: Model, prefix: str, x: Tensor,
                     cache: dict | None = None, start: int = 0) -> Tensor:
-    """Causal self-attention of rows at positions ``start..``. With a cache,
-    the keys and values of earlier positions are read from it and this
-    call's are appended."""
+    """Causal self-attention of rows at positions ``start..``; ``x`` is
+    [s, d] or a batch [B, s, d]. With a cache, the keys and values of earlier
+    positions are read from it and this call's are appended."""
     c = model.config
-    s = x.shape[0]
+    s = x.shape[-2]
     dh = c.d_model // c.n_heads
     q = _heads(ad.matmul(x, model.param(prefix + "wq")), c.n_heads)
     k = _heads(ad.matmul(x, model.param(prefix + "wk")), c.n_heads)
@@ -201,10 +213,11 @@ def _self_attention(model: Model, prefix: str, x: Tensor,
     if cache is not None:
         if prefix in cache:
             k_past, v_past = cache[prefix]
-            k, v = ad.concat([k_past, k], axis=1), ad.concat([v_past, v], axis=1)
+            k, v = ad.concat([k_past, k], axis=-2), ad.concat([v_past, v], axis=-2)
         cache[prefix] = (k, v)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    causal = np.triu(np.ones((s, k.shape[1]), dtype=bool), k=1 + start)
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, _swapped(k.ndim, -2, -1))),
+                      1.0 / math.sqrt(dh))
+    causal = np.triu(np.ones((s, k.shape[-2]), dtype=bool), k=1 + start)
     scores = ad.masked_fill(scores, causal[None, :, :], NEG_INF)
     attn = ad.softmax(scores, axis=-1)
     out = _merge_heads(ad.matmul(attn, v))
@@ -226,17 +239,18 @@ def _block(model: Model, i: int, x: Tensor, cache: dict | None = None,
 
 def encode_text_unimodal(model: Model, token_ids, cache: dict | None = None,
                          start: int = 0) -> Tensor:
-    """First-half (unimodal) hidden states, causal throughout; [seq, d_model].
+    """First-half (unimodal) hidden states, causal throughout; [seq, d_model]
+    for a list of ids, [B, seq, d_model] for a [B, seq] batch of them.
 
     ``token_ids`` sit at positions ``start..``; the tokens before them are
-    seen through ``cache`` (see ``greedy_decode``).
+    seen through ``cache`` (see ``greedy_decode_batch``).
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size and int(ids.max()) >= model.config.vocab_size:
         raise ValueError(
             f"token id {int(ids.max())} out of vocabulary "
             f"({model.config.vocab_size})")
-    end = start + ids.size
+    end = start + ids.shape[-1]
     if end > model.config.max_seq:
         raise ValueError(f"sequence length {end} exceeds context "
                          f"{model.config.max_seq}")
@@ -290,9 +304,11 @@ def _fusion(model: Model, pos: int, x: Tensor, vtok_flat: Tensor,
             visible: np.ndarray, cache: dict | None = None) -> Tensor:
     """Gated bottlenecked cross-attention from text to visual tokens.
 
-    ``visible[s, m]`` marks which flattened visual tokens each text position
-    may attend to (media-causal). Rows that see nothing pass through. With a
-    cache, the visual keys and values are computed once and then read back.
+    ``x`` is [s, d] with ``vtok_flat`` [m, d], or a batch [B, s, d] with
+    [B, m, d]. ``visible[..., s, m]`` marks which flattened visual tokens each
+    text position may attend to (media-causal). Rows that see nothing pass
+    through. With a cache, the visual keys and values are computed once and
+    then read back.
     """
     p = f"fusion{pos}/"
     xh = _ln(x, model.param(p + "ln_g"), model.param(p + "ln_b"))
@@ -306,40 +322,54 @@ def _fusion(model: Model, pos: int, x: Tensor, vtok_flat: Tensor,
         if cache is not None:
             cache[p] = (k, v)
     db = q.shape[-1]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(db))
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, _swapped(k.ndim, -2, -1))),
+                      1.0 / math.sqrt(db))
     scores = ad.masked_fill(scores, ~visible, NEG_INF)
     attn = ad.softmax(scores, axis=-1)
     z = ad.matmul(ad.matmul(attn, v), model.param(p + "up"))
-    row_has_media = visible.any(axis=1, keepdims=True).astype(np.float64)
+    row_has_media = visible.any(axis=-1, keepdims=True).astype(np.float64)
     z = ad.mul(z, Tensor(row_has_media))
     gate = ad.tanh(model.param(p + "gate"))
     return ad.add(x, ad.mul(z, gate))
 
 
+def _media_visibility(media_positions: list[tuple[int, int]], n_media: int,
+                      n_latents: int, start: int, end: int) -> np.ndarray:
+    """[end - start, n_media * n_latents]: the visual tokens each text
+    position at ``start..end`` may attend to."""
+    visible = np.zeros((end - start, n_media * n_latents), dtype=bool)
+    for tok_pos, m_idx in media_positions:
+        if not 0 <= m_idx < n_media:
+            raise ValueError(f"media index {m_idx} out of range ({n_media} items)")
+        if not 0 <= tok_pos < end:
+            raise ValueError(f"media token position {tok_pos} outside sequence {end}")
+        lo = m_idx * n_latents
+        visible[max(tok_pos - start, 0):, lo:lo + n_latents] = True
+    return visible
+
+
 def fuse_and_decode(model: Model, text_hidden: Tensor, visual: Tensor | None,
-                    media_positions: list[tuple[int, int]],
-                    cache: dict | None = None, start: int = 0) -> Tensor:
+                    media_positions, cache: dict | None = None,
+                    start: int = 0) -> Tensor:
     """Second-half decoder with fusion layers; returns logits [seq, vocab].
 
     ``media_positions`` maps token positions to media indices; a text token
     may only attend to media introduced at or before its own position.
     ``text_hidden`` holds positions ``start..``, as in ``encode_text_unimodal``.
+    Batched, ``text_hidden`` is [B, seq, d], ``visual`` [B, n_media,
+    n_latents, d], ``media_positions`` one list per row, and the logits
+    [B, seq, vocab].
     """
     c = model.config
-    s = text_hidden.shape[0]
-    end = start + s
     if visual is not None:
-        n_media = visual.shape[0]
-        for tok_pos, m_idx in media_positions:
-            if not 0 <= m_idx < n_media:
-                raise ValueError(f"media index {m_idx} out of range ({n_media} items)")
-            if not 0 <= tok_pos < end:
-                raise ValueError(f"media token position {tok_pos} outside sequence {end}")
-        vtok_flat = ad.reshape(visual, (n_media * c.n_latents, c.d_model))
-        visible = np.zeros((s, n_media * c.n_latents), dtype=bool)
-        for tok_pos, m_idx in media_positions:
-            lo = m_idx * c.n_latents
-            visible[max(tok_pos - start, 0):, lo:lo + c.n_latents] = True
+        *lead, n_media, n_lat, d = visual.shape
+        end = start + text_hidden.shape[-2]
+        if lead:
+            visible = np.stack([_media_visibility(r, n_media, n_lat, start, end)
+                                for r in media_positions])
+        else:
+            visible = _media_visibility(media_positions, n_media, n_lat, start, end)
+        vtok_flat = ad.reshape(visual, (*lead, n_media * n_lat, d))
     h = text_hidden
     fusion_at = set(c.fusion_positions())
     for i in range(c.split_index, c.n_layers_total):
@@ -363,11 +393,13 @@ def forward_logits(model: Model, token_ids, media_features: list[np.ndarray],
 
 
 def _pool(hidden: Tensor, query: Tensor) -> Tensor:
-    d = hidden.shape[-1]
+    """Attention-pool [n, d] rows to [1, d], or a batch [B, n, d] to [B, d]."""
+    *lead, n, d = hidden.shape
     scores = ad.scale(ad.matmul(hidden, ad.reshape(query, (d, 1))),
                       1.0 / math.sqrt(d))
-    attn = ad.softmax(ad.reshape(scores, (1, hidden.shape[0])), axis=-1)
-    return ad.matmul(attn, hidden)  # [1, d]
+    attn = ad.softmax(ad.reshape(scores, (*lead, 1, n)), axis=-1)
+    pooled = ad.matmul(attn, hidden)  # [..., 1, d]
+    return ad.reshape(pooled, (*lead, d)) if lead else pooled
 
 
 def _l2_normalize(x: Tensor) -> Tensor:
@@ -377,8 +409,9 @@ def _l2_normalize(x: Tensor) -> Tensor:
 
 def embed_text(model: Model, text_hidden: Tensor) -> Tensor:
     """Text tower: pooled, projected, unit-norm [1, d_embed] embedding of the
-    mid-LM states of one caption."""
-    if text_hidden.shape[0] == 0:
+    mid-LM states [seq, d] of one caption, or [B, d_embed] for a batch
+    [B, seq, d] of equal-length captions."""
+    if text_hidden.shape[-2] == 0:
         raise ValueError("embed_text: empty text segment")
     t = _pool(text_hidden, model.param("contrastive/text_query"))
     return _l2_normalize(ad.matmul(t, model.param("contrastive/text_head")))
@@ -386,8 +419,10 @@ def embed_text(model: Model, text_hidden: Tensor) -> Tensor:
 
 def embed_media(model: Model, visual: Tensor) -> Tensor:
     """Media tower: pooled, projected, unit-norm [1, d_embed] embedding of one
-    media item's resampled tokens."""
-    v = _pool(ad.reshape(visual, (-1, model.config.d_model)),
+    item's resampled tokens [n_media, n_latents, d], or [B, d_embed] for a
+    batch [B, n_media, n_latents, d]."""
+    d = model.config.d_model
+    v = _pool(ad.reshape(visual, (*visual.shape[:-3], -1, d)),
               model.param("contrastive/vis_query"))
     return _l2_normalize(ad.matmul(v, model.param("contrastive/vis_head")))
 
@@ -463,25 +498,61 @@ def greedy_decode(model: Model, token_ids: list[int],
                   media_features: list[np.ndarray],
                   media_positions: list[tuple[int, int]],
                   stop_id: int, max_new: int = 16) -> list[int]:
-    """Greedy continuation until ``stop_id`` or ``max_new`` tokens.
+    """Greedy continuation of one prompt until ``stop_id`` or ``max_new``
+    tokens: the one-row case of ``greedy_decode_batch``. Raises
+    ``ValueError`` at the pass whose sequence would exceed the context."""
+    return greedy_decode_batch(
+        model, [(token_ids, media_features, media_positions)], stop_id, max_new)[0]
 
-    Decodes with a cache: the media are encoded once, the prompt runs once,
-    and each later pass feeds only the newest token. That pass attends to
-    the keys and values every self-attention block cached for the earlier
-    positions, and to the visual keys and values each fusion layer computed
-    on the first pass. The logits equal those of ``forward_logits`` over the
-    whole sequence up to rounding.
+
+def greedy_decode_batch(model: Model, prompts: list[tuple], stop_id: int,
+                        max_new: int = 16) -> list[list[int]]:
+    """Greedy continuations of ``(token_ids, media_features, media_positions)``
+    prompts, in prompt order.
+
+    Prompts of one length and media count form a group and decode in
+    lockstep, so no row needs a padding mask. A group encodes each media item
+    once, runs its prompts as one [B, seq] batch, then feeds one [B, 1]
+    column of new tokens per pass against one batched cache: the keys and
+    values every self-attention block cached for the earlier positions, and
+    the visual keys and values each fusion layer computed on the first pass
+    (the batched-decode layout of Pope et al. 2022, arXiv 2211.05102). A row
+    that has produced ``stop_id`` keeps riding along, its tokens ignored,
+    until every row has stopped or ``max_new`` passes have run. Each row's
+    logits equal those of ``forward_logits`` over its whole sequence up to
+    rounding.
     """
-    visual = encode_media(model, media_features)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (ids, feats, _) in enumerate(prompts):
+        groups.setdefault((len(ids), len(feats)), []).append(i)
+    out: list[list[int]] = [[] for _ in prompts]
+    for rows in groups.values():
+        decoded = _decode_lockstep(model, [prompts[i] for i in rows], stop_id, max_new)
+        for i, tokens in zip(rows, decoded):
+            out[i] = tokens
+    return out
+
+
+def _decode_lockstep(model: Model, group: list[tuple], stop_id: int,
+                     max_new: int) -> list[list[int]]:
+    ids, feats, positions = zip(*group)
+    new = np.asarray(ids, dtype=np.int64)  # [B, seq]
+    visual = encode_media(model, [f for row in feats for f in row])
+    if visual is not None:  # [B * n_media, ...] -> [B, n_media, ...]
+        visual = ad.reshape(visual, (len(group), -1, *visual.shape[1:]))
     cache: dict = {}
-    new, start = list(token_ids), 0
-    out: list[int] = []
+    start = 0
+    out: list[list[int]] = [[] for _ in group]
+    live = np.ones(len(group), dtype=bool)
     for _ in range(max_new):
         th = encode_text_unimodal(model, new, cache, start)
-        logits = fuse_and_decode(model, th, visual, media_positions, cache, start)
-        nxt = int(np.argmax(logits.data[-1]))
-        if nxt == stop_id:
+        logits = fuse_and_decode(model, th, visual, positions, cache, start)
+        nxt = logits.data[:, -1, :].argmax(axis=-1)
+        live &= nxt != stop_id
+        if not live.any():
             break
-        out.append(nxt)
-        new, start = [nxt], start + len(new)
+        for r in np.flatnonzero(live):
+            out[r].append(int(nxt[r]))
+        start += new.shape[1]
+        new = nxt[:, None]
     return out

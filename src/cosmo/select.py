@@ -56,20 +56,27 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
+# Relative slack under which two squared distances count as tied in kmeans.
+_TIE_EPS = 1e-12
+
+
 def kmeans(pairs: list[EmbeddedPair], k: int, max_iters: int = 50,
            seed: int = 0) -> Clustering:
     """Lloyd's algorithm with k-means++ seeding.
 
     Stops when assignments stop changing or after max_iters. An empty cluster
     is repaired by stealing the point farthest from its centroid out of the
-    largest cluster. Squared distances to the centroids are computed as
-    ||x||^2 - 2 x.c + ||c||^2 (one matrix product per pass, ||x||^2 once per
-    call). Its rounding error is about eps * ||x||^2, so it agrees with the
-    direct sum of squared differences only while the points' norms are near
-    the scale of the distances between them (the unit-norm embeddings of
-    `curate` are); far from the origin a distance can read negative and
-    near-equidistant centroids can swap order, changing the assignment and
-    the point the empty-cluster repair takes.
+    largest cluster. After the first pass a point changes cluster only for a
+    centroid nearer by more than ``_TIE_EPS`` of the squared norms, so when k
+    exceeds the number of distinct points the duplicated centroids settle
+    instead of trading points until max_iters. Squared distances to the
+    centroids are computed as ||x||^2 - 2 x.c + ||c||^2 (one matrix product
+    per pass, ||x||^2 once per call). Its rounding error is about
+    eps * ||x||^2, so it agrees with the direct sum of squared differences
+    only while the points' norms are near the scale of the distances between
+    them (the unit-norm embeddings of `curate` are); far from the origin a
+    distance can read negative and near-equidistant centroids can swap order,
+    changing the assignment and the point the empty-cluster repair takes.
     """
     n = len(pairs)
     if k < 1:
@@ -84,9 +91,18 @@ def kmeans(pairs: list[EmbeddedPair], k: int, max_iters: int = 50,
     labels = np.full(n, -1)
     history: list[float] = []
     xx = (x * x).sum(axis=1)
+    rows = np.arange(n)
     for _ in range(max_iters):
-        d2 = xx[:, None] - 2.0 * (x @ centroids.T) + (centroids * centroids).sum(axis=1)
+        cc = (centroids * centroids).sum(axis=1)
+        d2 = xx[:, None] - 2.0 * (x @ centroids.T) + cc
         new_labels = d2.argmin(axis=1)
+        if history:
+            # Keep a point where it is unless another centroid is nearer by
+            # more than d2's rounding: coinciding centroids (a cluster's mean
+            # and a copy of one of its points) then never trade points.
+            slack = _TIE_EPS * (xx + cc.max())
+            stay = d2[rows, labels] <= d2[rows, new_labels] + slack
+            new_labels[stay] = labels[stay]
         for empty in range(k):
             if (new_labels == empty).any():
                 continue

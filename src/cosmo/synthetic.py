@@ -17,6 +17,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import autodiff as ad
 from . import model as cm
 from .docs import (EOC, MAX_VIDEO_FRAMES, Document, MediaItem, MediaRef, TextSpan,
                    Vocab, serialize, write_shard)
@@ -25,6 +26,7 @@ CLASS_WORDS = ["widget", "gizmo", "sprocket", "lever",
                "crate", "prism", "kettle", "anchor"]
 COLOR_WORDS = ["red", "blue", "green", "amber",
                "violet", "teal", "coral", "slate"]
+CAPTION_MAX_NEW = 8  # tokens a caption decode may emit before it is cut off
 
 
 @dataclass
@@ -242,51 +244,61 @@ def episode_prompt(episode: FewShotEpisode, vocab: Vocab
     return tokens, [m.features for m in media], list(media_slice)
 
 
-def decode_caption(model: cm.Model, vocab: Vocab, episode: FewShotEpisode,
-                   max_new: int = 8) -> str:
-    tokens, feats, positions = episode_prompt(episode, vocab)
-    out_ids = cm.greedy_decode(model, tokens, feats, positions, stop_id=EOC,
-                               max_new=max_new)
-    return vocab.detokenize(out_ids)
-
-
-def caption_text_embedding(model: cm.Model, vocab: Vocab, caption: str
-                           ) -> np.ndarray:
-    """Text-tower embedding of a caption, serialized as in a pair document;
-    the blank media item only fixes the layout and is never encoded."""
+def caption_text_embeddings(model: cm.Model, vocab: Vocab, captions: list[str]
+                            ) -> np.ndarray:
+    """[n, d_embed] text-tower embeddings of captions, each serialized as in
+    a pair document. Captions of one token length run as one batched
+    unimodal pass; the blank media item only fixes the layout and is never
+    encoded."""
     blank = MediaItem("image", np.zeros((1, 1, model.config.d_vision)))
-    tokens, _, text_slice = serialize(
-        Document(segments=[MediaRef(0), TextSpan(caption)], media=[blank]), vocab)
-    lo, hi = text_slice[0]
-    th = cm.encode_text_unimodal(model, tokens)
-    return cm.embed_text(model, th[lo:hi, :]).data[0]
+    layouts = [serialize(Document(segments=[MediaRef(0), TextSpan(c)],
+                                  media=[blank]), vocab) for c in captions]
+    groups: dict[tuple, list[int]] = {}
+    for i, (tokens, _, text_slice) in enumerate(layouts):
+        groups.setdefault((len(tokens), text_slice[0]), []).append(i)
+    out = np.empty((len(captions), model.config.d_embed_contrastive))
+    for (_, (lo, hi)), rows in groups.items():
+        th = cm.encode_text_unimodal(model, [layouts[i][0] for i in rows])
+        out[rows] = cm.embed_text(model, th[:, lo:hi, :]).data
+    return out
 
 
-def media_embedding(model: cm.Model, features: np.ndarray) -> np.ndarray:
-    """Media-tower embedding of one media item."""
-    return cm.embed_media(model, cm.encode_media(model, [features])).data[0]
+def media_embeddings(model: cm.Model, features: list[np.ndarray]) -> np.ndarray:
+    """[n, d_embed] media-tower embeddings of single media items: each item is
+    encoded on its own, then all are pooled in one batched call."""
+    visual = cm.encode_media(model, features)  # [n, n_latents, d]
+    visual = ad.reshape(visual, (len(features), 1, *visual.shape[1:]))
+    return cm.embed_media(model, visual).data
 
 
 def retrieval_at_1(model: cm.Model, vocab: Vocab,
                    queries: list[tuple[np.ndarray, str]],
                    candidates: list[str]) -> float:
-    """Fraction of query media whose nearest caption embedding is the target."""
-    cand = np.stack([caption_text_embedding(model, vocab, c)
-                     for c in candidates])
+    """Fraction of query media whose nearest caption embedding is the target.
+
+    All candidate captions are embedded in one batched unimodal pass and all
+    query media in one ``embed_media`` call.
+    """
+    cand = caption_text_embeddings(model, vocab, candidates)
+    media = media_embeddings(model, [feats for feats, _ in queries])
     hits = 0
-    for feats, target in queries:
-        v = media_embedding(model, feats)
-        best = int(np.argmax(cand @ v))
-        hits += candidates[best] == target
+    for v, (_, target) in zip(media, queries):
+        hits += candidates[int(np.argmax(cand @ v))] == target
     return hits / len(queries)
 
 
 def eval_fewshot(model: cm.Model, vocab: Vocab, episodes: list[FewShotEpisode],
                  meta: TaskMeta) -> dict:
-    """Caption exact match over episodes plus retrieval@1 of their queries."""
-    matches = []
-    for ep in episodes:
-        matches.append(decode_caption(model, vocab, ep) == ep.target)
+    """Caption exact match over episodes plus retrieval@1 of their queries.
+
+    Every episode's caption is decoded by one ``greedy_decode_batch`` call,
+    so episodes with prompts of one length decode in lockstep.
+    """
+    prompts = [episode_prompt(ep, vocab) for ep in episodes]
+    decoded = cm.greedy_decode_batch(model, prompts, stop_id=EOC,
+                                     max_new=CAPTION_MAX_NEW)
+    matches = [vocab.detokenize(ids) == ep.target
+               for ids, ep in zip(decoded, episodes)]
     candidates = [meta.caption(ci, ri) for ci, ri in
                   meta.seen_combos + meta.held_out_combos]
     queries = [(ep.query, meta.caption(*ep.combo)) for ep in episodes]

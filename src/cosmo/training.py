@@ -4,7 +4,8 @@ One accumulation cycle visits every data source (one batch each, under the
 min/max strategies), weights each source's loss, and applies a single
 clipped AdamW update to the learnable parameters. Anomalous batches are
 caught by an EMA guard: non-finite losses are skipped outright, finite
-spikes are scaled back down to the running average.
+spikes are scaled back down to the running average once that average has
+seen a few accepted values.
 """
 
 from __future__ import annotations
@@ -111,18 +112,30 @@ class GuardDecision:
     factor: float = 1.0
 
 
-def guard(loss_value: float, ema: float | None, config: GuardConfig) -> GuardDecision:
-    """Decide what to do with one sub-loss given its running average."""
+# Accepted values a sub-loss needs before its running average judges spikes
+# with ``GuardConfig.spike_factor``: one batch says little about the spread of
+# the next. Until then a value counts as a spike only above
+# ``spike_factor * GUARD_WARMUP_SLACK`` times the average, so ordinary early
+# swings pass while a gross outlier still cannot enter the average.
+GUARD_WARMUP = 3
+GUARD_WARMUP_SLACK = 5.0
+
+
+def guard(loss_value: float, average: float | None, config: GuardConfig,
+          warming_up: bool = False) -> GuardDecision:
+    """Decide what to do with one sub-loss given its running average (None
+    before the first accepted value, when only non-finite values are
+    caught). ``warming_up`` widens the spike threshold by
+    ``GUARD_WARMUP_SLACK``."""
     if not math.isfinite(loss_value):
         return GuardDecision("skip", 0.0)
-    if ema is not None and loss_value > config.spike_factor * ema and loss_value > 0:
-        return GuardDecision("scale", ema / loss_value)
+    factor = config.spike_factor * (GUARD_WARMUP_SLACK if warming_up else 1.0)
+    if average is not None and loss_value > factor * average and loss_value > 0:
+        return GuardDecision("scale", average / loss_value)
     return GuardDecision("accept", 1.0)
 
 
-def update_ema(ema: float | None, effective: float, decay: float) -> float:
-    if ema is None:
-        return effective
+def update_ema(ema: float, effective: float, decay: float) -> float:
     return decay * ema + (1.0 - decay) * effective
 
 
@@ -256,7 +269,8 @@ class TrainState:
     step: int = 0
     opt_steps: int = 0
     param_steps: dict[str, int] = field(default_factory=dict)  # Adam's t per parameter
-    emas: dict[str, float] = field(default_factory=dict)
+    emas: dict[str, float] = field(default_factory=dict)  # EMAs started at 0
+    guard_counts: dict[str, int] = field(default_factory=dict)  # values in each EMA
     events: list[dict] = field(default_factory=list)
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0))
@@ -371,7 +385,12 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
                     loss = loss_hook(state.step, spec.name, kind, loss)
                 value = float(loss.data)
                 key = f"{spec.data_type}/{kind}"
-                decision = guard(value, state.emas.get(key), config.guard)
+                n = state.guard_counts.get(key, 0)
+                # the bias-corrected EMA, as Adam corrects its moments
+                average = (state.emas[key] / (1.0 - config.guard.ema_decay ** n)
+                           if n else None)
+                decision = guard(value, average, config.guard,
+                                 warming_up=n < GUARD_WARMUP)
                 events.append(decision.action)
                 row["lm_loss" if kind == "lm" else "c_loss"] = value
                 if decision.action == "skip":
@@ -384,8 +403,9 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
                     state.events.append({"step": state.step, "type": spec.name,
                                          "kind": kind, "event": "scale",
                                          "factor": decision.factor})
-                state.emas[key] = update_ema(state.emas.get(key), effective,
+                state.emas[key] = update_ema(state.emas.get(key, 0.0), effective,
                                              config.guard.ema_decay)
+                state.guard_counts[key] = n + 1
                 parts.append(ad.scale(loss, lam))
             if parts:
                 ad.backward(ad.scale(ad.add_all(parts), spec.weight), tape)
@@ -463,6 +483,7 @@ def save_checkpoint(path: str, model: cm.Model, state: TrainState,
             "opt_steps": state.opt_steps,
             "param_steps": state.param_steps,
             "emas": state.emas,
+            "guard_counts": state.guard_counts,
             "events": state.events,
             "rng_state": state.rng.bit_generator.state,
             "loader": loader_state,
@@ -489,7 +510,8 @@ def load_checkpoint(path: str) -> tuple[cm.Model, TrainState, TrainConfig,
     tr = manifest["train"]
     state = TrainState(step=manifest["step"], opt_steps=tr["opt_steps"],
                        param_steps=dict(tr["param_steps"]),
-                       emas=dict(tr["emas"]), events=list(tr["events"]))
+                       emas=dict(tr["emas"]), guard_counts=dict(tr["guard_counts"]),
+                       events=list(tr["events"]))
     rng = np.random.default_rng(0)
     rng.bit_generator.state = tr["rng_state"]
     state.rng = rng

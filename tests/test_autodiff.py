@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosmo import autodiff as ad
 from cosmo.autodiff import Tape, Tensor
@@ -208,3 +209,96 @@ def test_ops_outside_tape_do_not_record():
     y = ad.mul(x, x)
     assert ad.active_tape() is None
     assert y.requires_grad  # flag propagates, but nothing recorded
+
+
+# -- property tests: gradients of the ops batched model code uses -------------
+# Each loss weighs every output entry by a fixed random weight, so a wrong
+# entry of a vector-Jacobian product cannot hide in a plain sum.
+
+dims = st.integers(1, 3)
+shapes = st.lists(dims, min_size=2, max_size=4).map(tuple)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def leaf(rng, shape) -> Tensor:
+    return Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes, dims, seeds)
+def test_matmul_nd_by_2d_gradients(shape, n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = leaf(rng, shape), leaf(rng, (shape[-1], n))
+    w = rng.normal(size=shape[:-1] + (n,))
+    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.matmul(a, b), Tensor(w))),
+                         [a, b]) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes, dims, seeds)
+def test_matmul_nd_by_nd_gradients(shape, n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = leaf(rng, shape), leaf(rng, shape[:-2] + (shape[-1], n))
+    w = rng.normal(size=shape[:-1] + (n,))
+    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.matmul(a, b), Tensor(w))),
+                         [a, b]) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes.flatmap(lambda s: st.tuples(st.just(s),
+                                          st.permutations(range(len(s))))), seeds)
+def test_transpose_with_axes_gradients(shape_axes, seed):
+    shape, axes = shape_axes
+    rng = np.random.default_rng(seed)
+    x = leaf(rng, shape)
+    w = rng.normal(size=tuple(shape[i] for i in axes))
+    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.transpose(x, tuple(axes)),
+                                                Tensor(w))), [x]) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes, seeds)
+def test_reshape_and_softmax_gradients(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = leaf(rng, shape)
+    axis = int(rng.integers(-len(shape), len(shape)))
+    w = rng.normal(size=shape)
+    for target in (tuple(reversed(shape)), (-1, shape[-1]), (1, *shape)):
+        assert ad.grad_check(
+            lambda: ad.sum_(ad.mul(ad.reshape(x, target), Tensor(w.reshape(target)))),
+            [x]) < 1e-6
+    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.softmax(x, axis=axis),
+                                                Tensor(w))), [x]) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes, dims, seeds)
+def test_concat_and_slice_gradients(shape, extra, seed):
+    rng = np.random.default_rng(seed)
+    axis = int(rng.integers(-len(shape), len(shape)))
+    other = list(shape)
+    other[axis] = extra
+    x, y = leaf(rng, shape), leaf(rng, tuple(other))
+    joined = ad.concat([x, y], axis=axis)
+    w = rng.normal(size=joined.shape)
+    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.concat([x, y], axis=axis),
+                                                Tensor(w))), [x, y]) < 1e-6
+    lo = int(rng.integers(0, shape[axis]))
+    key = [slice(None)] * len(shape)
+    key[axis] = slice(lo, shape[axis])
+    key = tuple(key)
+    ws = rng.normal(size=x.data[key].shape)
+    assert ad.grad_check(lambda: ad.sum_(ad.mul(x[key], Tensor(ws))), [x]) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes, seeds)
+def test_masked_fill_broadcast_mask_gradients(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = leaf(rng, shape)
+    # the mask drops some leading axes and keeps some others at size 1
+    kept = shape[int(rng.integers(0, len(shape))):]
+    mask = rng.random(tuple(s if rng.random() < 0.5 else 1 for s in kept)) < 0.5
+    w = rng.normal(size=shape)
+    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.masked_fill(x, mask, -3.0),
+                                                Tensor(w))), [x]) < 1e-6

@@ -326,6 +326,7 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_annotator_roundtrip(http_server):

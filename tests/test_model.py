@@ -311,7 +311,7 @@ def cached_decode(monkeypatch, m, ids, feats, pos, stop_id, max_new):
 
     def recording(*args, **kwargs):
         logits = fuse(*args, **kwargs)
-        rows.append(logits.data[-1])
+        rows.append(logits.data[..., -1, :])
         return logits
 
     with monkeypatch.context() as mp:
@@ -372,6 +372,76 @@ def test_cached_decode_encodes_each_media_once(monkeypatch):
     out = cm.greedy_decode(m, ids, feats, pos, stop_id=-1, max_new=6)
     assert len(out) == 6
     assert calls == {"vision_encode": 3, "resample": 3}
+
+
+# -- batched greedy decoding ------------------------------------------------
+
+def ragged_prompts(m, seed):
+    """Prompts of mixed lengths and media counts (0 included); the two
+    5-media prompts of length 30 and the three text-only ones of length 12
+    form lockstep groups, the rest decode as groups of one."""
+    rng = np.random.default_rng([seed, 2])
+    prompts = []
+    for seq, n_media in [(30, 5), (12, 0), (30, 5), (30, 2), (12, 0), (17, 1),
+                         (12, 0)]:
+        ids = rng.integers(5, m.config.vocab_size, size=seq).tolist()
+        feats = [media(rng, frames=1 + i % 2) for i in range(n_media)]
+        prompts.append((ids, feats, [(1 + 5 * i, i) for i in range(n_media)]))
+    return prompts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_decode_equals_per_prompt_decode_on_ragged_prompts(seed):
+    m = cm.build(toy_config(), seed=seed)
+    inputs.move_off_init(m, seed)
+    prompts = ragged_prompts(m, seed)
+    free = cm.greedy_decode_batch(m, prompts, stop_id=-1, max_new=10)
+    assert free == [cm.greedy_decode(m, *p, stop_id=-1, max_new=10) for p in prompts]
+    assert all(len(out) == 10 for out in free)
+    # a stop token the first row emits at step 3: the other rows stop at
+    # other steps or never, and every row matches its own decode
+    stop = free[0][3]
+    got = cm.greedy_decode_batch(m, prompts, stop_id=stop, max_new=10)
+    assert got == [cm.greedy_decode(m, *p, stop_id=stop, max_new=10) for p in prompts]
+    assert got == [out[:out.index(stop)] if stop in out else out for out in free]
+    assert len({len(out) for out in got}) > 1
+
+
+def test_batch_decode_logits_match_full_forward(monkeypatch):
+    m = cm.build(toy_config(), seed=4)
+    inputs.move_off_init(m, 4)
+    prompts = [p for p in ragged_prompts(m, 4) if len(p[0]) == 30 and len(p[1]) == 5]
+    rows = []
+    fuse = cm.fuse_and_decode
+
+    def recording(*args, **kwargs):
+        logits = fuse(*args, **kwargs)
+        rows.append(logits.data[:, -1, :])
+        return logits
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cm, "fuse_and_decode", recording)
+        got = cm.greedy_decode_batch(m, prompts, stop_id=-1, max_new=8)
+    assert len(rows) == 8  # one batched pass per step
+    for r, prompt in enumerate(prompts):
+        want, want_rows = argmax_loop(m, *prompt, stop_id=-1, max_new=8)
+        assert got[r] == want
+        for step, want_row in enumerate(want_rows):
+            assert np.abs(rows[step][r] - want_row).max() \
+                <= 1e-12 * np.abs(want_row).max()
+
+
+def test_batch_decode_context_error_like_single_decode():
+    m, _, feats, pos = decode_inputs(0)
+    rng = np.random.default_rng(5)
+    prompts = [(rng.integers(5, 50, size=m.config.max_seq - 3).tolist(), feats, pos)
+               for _ in range(2)]
+    error = (f"sequence length {m.config.max_seq + 1} exceeds context "
+             f"{m.config.max_seq}")
+    with pytest.raises(ValueError, match=error):
+        cm.greedy_decode_batch(m, prompts, stop_id=-1, max_new=8)
+    assert cm.greedy_decode_batch(m, prompts, stop_id=-1, max_new=4) == [
+        cm.greedy_decode(m, *p, stop_id=-1, max_new=4) for p in prompts]
 
 
 # -- contrastive head -------------------------------------------------------

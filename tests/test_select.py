@@ -122,6 +122,14 @@ def test_kmeans_fixed_point_properties(cloud):
         np.testing.assert_allclose(c[j], members.mean(axis=0), rtol=1e-12, atol=1e-12)
 
 
+def test_kmeans_settles_when_k_exceeds_distinct_points():
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        x = np.repeat(rng.normal(size=(3, 4)), 10, axis=0)
+        clustering = kmeans(make_pairs(x), k=5, max_iters=30, seed=seed)
+        assert len(clustering.inertia_history) < 30, seed
+
+
 def test_kmeans_deterministic():
     rng = np.random.default_rng(7)
     embs = rng.normal(size=(30, 4))

@@ -5,7 +5,8 @@ import numpy as np
 from cosmo import model as cm
 from cosmo import synthetic as sy
 from cosmo import training as tr
-from cosmo.docs import BOS, EOC, VISUAL, build_vocab
+from cosmo.docs import (BOS, EOC, VISUAL, Document, MediaItem, MediaRef, TextSpan,
+                        build_vocab, serialize)
 
 SHARDS = [("pairs_image", "image_text"), ("pairs_video", "video_text"),
           ("interleaved_image", "interleaved_image"),
@@ -65,18 +66,51 @@ def test_episodes_hold_query_combo_in_one_word_order(tmp_path):
             assert not any(np.array_equal(f, ep.query) for f, _ in ep.support)
 
 
+def decode_caption(model, vocab, episode):
+    """One episode's caption, decoded on its own."""
+    out = cm.greedy_decode(model, *sy.episode_prompt(episode, vocab), stop_id=EOC,
+                           max_new=sy.CAPTION_MAX_NEW)
+    return vocab.detokenize(out)
+
+
 def test_eval_fewshot_match_agrees_with_decode(tmp_path):
     meta, vocab = corpus(tmp_path)
     model = tiny_model(vocab)
     episodes = sy.make_episodes(meta, 2, 4, np.random.default_rng(2))
     # half the targets are what the model decodes, so both outcomes occur
-    episodes = [dataclasses.replace(ep, target=sy.decode_caption(model, vocab, ep))
+    episodes = [dataclasses.replace(ep, target=decode_caption(model, vocab, ep))
                 if i % 2 == 0 else ep for i, ep in enumerate(episodes)]
     res = sy.eval_fewshot(model, vocab, episodes, meta)
     assert res["per_episode_match"] == [
-        sy.decode_caption(model, vocab, ep) == ep.target for ep in episodes]
+        decode_caption(model, vocab, ep) == ep.target for ep in episodes]
     assert all(res["per_episode_match"][0::2])
     assert res["caption_exact_match"] == np.mean(res["per_episode_match"])
+
+
+def test_batched_embeddings_match_unbatched_towers(tmp_path):
+    """Each row of the batched embeddings equals the tower run unbatched on
+    its one caption or media item, as training runs it."""
+    meta, vocab = corpus(tmp_path)
+    model = tiny_model(vocab)
+    rng = np.random.default_rng(4)
+    for p in model.learnable_params.values():  # off the symmetric init
+        p.data = p.data + rng.normal(scale=0.1, size=p.shape)
+    # two caption lengths, so the batch runs as two groups
+    captions = [meta.caption(0, 1), "red", meta.caption(2, 3, False), "blue",
+                meta.caption(1, 1)]
+    blank = MediaItem("image", np.zeros((1, 1, model.config.d_vision)))
+    batched = sy.caption_text_embeddings(model, vocab, captions)
+    for row, caption in zip(batched, captions):
+        tokens, _, ((lo, hi),) = serialize(
+            Document(segments=[MediaRef(0), TextSpan(caption)], media=[blank]), vocab)
+        th = cm.encode_text_unimodal(model, tokens)
+        want = cm.embed_text(model, th[lo:hi, :]).data[0]
+        assert np.abs(row - want).max() <= 1e-12
+    feats = [sy.combo_features(meta, c, c, rng, video=c % 2 == 1) for c in range(3)]
+    batched = sy.media_embeddings(model, feats)
+    for row, f in zip(batched, feats):
+        want = cm.embed_media(model, cm.encode_media(model, [f])).data[0]
+        assert np.abs(row - want).max() <= 1e-12
 
 
 def test_each_tower_embeds_without_the_other(tmp_path, monkeypatch):
@@ -89,10 +123,10 @@ def test_each_tower_embeds_without_the_other(tmp_path, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(cm, "encode_media", forbidden)
-        t = sy.caption_text_embedding(model, vocab, meta.caption(0, 1))
+        t = sy.caption_text_embeddings(model, vocab, [meta.caption(0, 1)])[0]
     with monkeypatch.context() as mp:
         mp.setattr(cm, "encode_text_unimodal", forbidden)
-        v = sy.media_embedding(model, query)
+        v = sy.media_embeddings(model, [query])[0]
     assert t.shape == v.shape == (8,)
     assert abs(np.linalg.norm(t) - 1.0) < 1e-9
     assert abs(np.linalg.norm(v) - 1.0) < 1e-9

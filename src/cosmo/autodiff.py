@@ -216,21 +216,31 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def slice_(a: Tensor, key) -> Tensor:
+    """``a[key]`` for basic slices and integer-array gathers."""
     a = _as_tensor(a)
     out = a.data[key]
+    # an integer array may read an entry more than once
+    gathers = any(isinstance(k, (list, np.ndarray)) and np.asarray(k).dtype.kind in "iu"
+                  for k in (key if isinstance(key, tuple) else (key,)))
 
     def vjp(g):
         z = np.zeros_like(a.data)
-        z[key] = g
+        if gathers:  # each read of an entry adds its gradient
+            np.add.at(z, key, g)
+        else:  # np.add.at is some 30x slower on a basic slice
+            z[key] = g
         return (z,)
 
     return _emit("slice", (a,), out, vjp)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join along ``axis``; a list of one tensor returns that tensor."""
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat: empty input list")
+    if len(tensors) == 1:
+        return tensors[0]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -373,6 +383,13 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values; gradient is zero outside [lo, hi]."""
     out = masked_fill(a, a.data < lo, lo)
     return masked_fill(out, out.data > hi, hi)
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """log(softmax(a)), finite wherever ``a`` is: shifted by the max (a
+    constant, which the result does not depend on) less the log-sum-exp."""
+    shifted = add(a, Tensor(-a.data.max(axis=axis, keepdims=True)))
+    return add(shifted, scale(log(sum_(exp(shifted), axis=axis, keepdims=True)), -1.0))
 
 
 def add_all(tensors: Sequence[Tensor]) -> Tensor:

@@ -14,7 +14,6 @@ starting at zero, so a freshly built model is exactly the frozen base LM.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -178,32 +177,23 @@ def _ln(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     return ad.add(ad.mul(ad.layer_norm(x, axis=-1), g), b)
 
 
-@functools.cache  # called per attention op with a handful of distinct args
-def _swapped(ndim: int, a: int, b: int) -> tuple[int, ...]:
-    """The axes of an ``ndim``-D array with axes ``a`` and ``b`` swapped."""
-    axes = list(range(ndim))
-    axes[a], axes[b] = axes[b], axes[a]
-    return tuple(axes)
-
-
 def _heads(x: Tensor, n_heads: int) -> Tensor:
-    """[..., s, d] -> [..., heads, s, d / heads]."""
-    *lead, s, d = x.shape
-    x = ad.reshape(x, (*lead, s, n_heads, d // n_heads))
-    return ad.transpose(x, _swapped(x.ndim, -3, -2))
+    """[B, s, d] -> [B, heads, s, d / heads]."""
+    b, s, d = x.shape
+    return ad.transpose(ad.reshape(x, (b, s, n_heads, d // n_heads)), (0, 2, 1, 3))
 
 
 def _merge_heads(x: Tensor) -> Tensor:
-    """[..., heads, s, dh] -> [..., s, heads * dh]."""
-    *lead, h, s, dh = x.shape
-    return ad.reshape(ad.transpose(x, _swapped(x.ndim, -3, -2)), (*lead, s, h * dh))
+    """[B, heads, s, dh] -> [B, s, heads * dh]."""
+    b, h, s, dh = x.shape
+    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, s, h * dh))
 
 
 def _self_attention(model: Model, prefix: str, x: Tensor,
                     cache: dict | None = None, start: int = 0) -> Tensor:
-    """Causal self-attention of rows at positions ``start..``; ``x`` is
-    [s, d] or a batch [B, s, d]. With a cache, the keys and values of earlier
-    positions are read from it and this call's are appended."""
+    """Causal self-attention of a batch ``x`` [B, s, d] at positions
+    ``start..``. With a cache, the keys and values of earlier positions are
+    read from it and this call's are appended."""
     c = model.config
     s = x.shape[-2]
     dh = c.d_model // c.n_heads
@@ -215,8 +205,7 @@ def _self_attention(model: Model, prefix: str, x: Tensor,
             k_past, v_past = cache[prefix]
             k, v = ad.concat([k_past, k], axis=-2), ad.concat([v_past, v], axis=-2)
         cache[prefix] = (k, v)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, _swapped(k.ndim, -2, -1))),
-                      1.0 / math.sqrt(dh))
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     causal = np.triu(np.ones((s, k.shape[-2]), dtype=bool), k=1 + start)
     scores = ad.masked_fill(scores, causal[None, :, :], NEG_INF)
     attn = ad.softmax(scores, axis=-1)
@@ -239,18 +228,20 @@ def _block(model: Model, i: int, x: Tensor, cache: dict | None = None,
 
 def encode_text_unimodal(model: Model, token_ids, cache: dict | None = None,
                          start: int = 0) -> Tensor:
-    """First-half (unimodal) hidden states, causal throughout; [seq, d_model]
-    for a list of ids, [B, seq, d_model] for a [B, seq] batch of them.
+    """First-half (unimodal) hidden states [B, seq, d_model] of a [B, seq]
+    batch of token ids, causal throughout.
 
-    ``token_ids`` sit at positions ``start..``; the tokens before them are
-    seen through ``cache`` (see ``greedy_decode_batch``).
+    The ids sit at positions ``start..``; the tokens before them are seen
+    through ``cache`` (see ``greedy_decode_batch``).
     """
     ids = np.asarray(token_ids, dtype=np.int64)
+    if ids.ndim != 2:
+        raise ValueError(f"token ids must be a [B, seq] batch, got shape {ids.shape}")
     if ids.size and int(ids.max()) >= model.config.vocab_size:
         raise ValueError(
             f"token id {int(ids.max())} out of vocabulary "
             f"({model.config.vocab_size})")
-    end = start + ids.shape[-1]
+    end = start + ids.shape[1]
     if end > model.config.max_seq:
         raise ValueError(f"sequence length {end} exceeds context "
                          f"{model.config.max_seq}")
@@ -279,36 +270,37 @@ def vision_encode(model: Model, features: np.ndarray) -> Tensor:
 
 
 def resample(model: Model, features: Tensor) -> Tensor:
-    """Map any number of vision feature rows to n_latents tokens; [1, n, d]."""
-    c = model.config
+    """Map any number of vision feature rows to n_latents tokens
+    [n_latents, d]."""
     lat = model.param("resampler/latents")
     q = ad.matmul(lat, model.param("resampler/wq"))
     k = ad.matmul(features, model.param("resampler/wk"))
     v = ad.matmul(features, model.param("resampler/wv"))
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(c.d_model))
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)),
+                      1.0 / math.sqrt(model.config.d_model))
     pooled = ad.matmul(ad.softmax(scores, axis=-1), v)
-    out = ad.layer_norm(ad.add(lat, ad.matmul(pooled, model.param("resampler/wo"))),
-                        axis=-1)
-    return ad.reshape(out, (1, c.n_latents, c.d_model))
+    return ad.layer_norm(ad.add(lat, ad.matmul(pooled, model.param("resampler/wo"))),
+                         axis=-1)
 
 
 def encode_media(model: Model, media_features: list[np.ndarray]) -> Tensor | None:
-    """vision_encode + resample per media item; [n_media, n_latents, d_model]."""
+    """The media of one sequence, each item vision-encoded and resampled:
+    [1, n_media, n_latents, d_model], or None for no media."""
     if not media_features:
         return None
-    toks = [resample(model, vision_encode(model, f)) for f in media_features]
-    return toks[0] if len(toks) == 1 else ad.concat(toks, axis=0)
+    c = model.config
+    toks = ad.concat([resample(model, vision_encode(model, f)) for f in media_features])
+    return ad.reshape(toks, (1, len(media_features), c.n_latents, c.d_model))
 
 
 def _fusion(model: Model, pos: int, x: Tensor, vtok_flat: Tensor,
             visible: np.ndarray, cache: dict | None = None) -> Tensor:
-    """Gated bottlenecked cross-attention from text to visual tokens.
+    """Gated bottlenecked cross-attention from text ``x`` [B, s, d] to the
+    visual tokens ``vtok_flat`` [B, m, d].
 
-    ``x`` is [s, d] with ``vtok_flat`` [m, d], or a batch [B, s, d] with
-    [B, m, d]. ``visible[..., s, m]`` marks which flattened visual tokens each
-    text position may attend to (media-causal). Rows that see nothing pass
-    through. With a cache, the visual keys and values are computed once and
-    then read back.
+    ``visible`` [B, s, m] marks which visual tokens each text position may
+    attend to (media-causal). Rows that see nothing pass through. With a
+    cache, the visual keys and values are computed once and then read back.
     """
     p = f"fusion{pos}/"
     xh = _ln(x, model.param(p + "ln_g"), model.param(p + "ln_b"))
@@ -322,8 +314,7 @@ def _fusion(model: Model, pos: int, x: Tensor, vtok_flat: Tensor,
         if cache is not None:
             cache[p] = (k, v)
     db = q.shape[-1]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, _swapped(k.ndim, -2, -1))),
-                      1.0 / math.sqrt(db))
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(db))
     scores = ad.masked_fill(scores, ~visible, NEG_INF)
     attn = ad.softmax(scores, axis=-1)
     z = ad.matmul(ad.matmul(attn, v), model.param(p + "up"))
@@ -351,25 +342,21 @@ def _media_visibility(media_positions: list[tuple[int, int]], n_media: int,
 def fuse_and_decode(model: Model, text_hidden: Tensor, visual: Tensor | None,
                     media_positions, cache: dict | None = None,
                     start: int = 0) -> Tensor:
-    """Second-half decoder with fusion layers; returns logits [seq, vocab].
+    """Second-half decoder with fusion layers: logits [B, seq, vocab] of the
+    hidden states ``text_hidden`` [B, seq, d] at positions ``start..``, as in
+    ``encode_text_unimodal``.
 
-    ``media_positions`` maps token positions to media indices; a text token
-    may only attend to media introduced at or before its own position.
-    ``text_hidden`` holds positions ``start..``, as in ``encode_text_unimodal``.
-    Batched, ``text_hidden`` is [B, seq, d], ``visual`` [B, n_media,
-    n_latents, d], ``media_positions`` one list per row, and the logits
-    [B, seq, vocab].
+    ``visual`` is [B, n_media, n_latents, d] or None. ``media_positions``
+    holds one list per row mapping token positions to media indices; a text
+    token may only attend to media introduced at or before its own position.
     """
     c = model.config
     if visual is not None:
-        *lead, n_media, n_lat, d = visual.shape
-        end = start + text_hidden.shape[-2]
-        if lead:
-            visible = np.stack([_media_visibility(r, n_media, n_lat, start, end)
-                                for r in media_positions])
-        else:
-            visible = _media_visibility(media_positions, n_media, n_lat, start, end)
-        vtok_flat = ad.reshape(visual, (*lead, n_media * n_lat, d))
+        b, n_media, n_lat, d = visual.shape
+        end = start + text_hidden.shape[1]
+        visible = np.stack([_media_visibility(r, n_media, n_lat, start, end)
+                            for r in media_positions])
+        vtok_flat = ad.reshape(visual, (b, n_media * n_lat, d))
     h = text_hidden
     fusion_at = set(c.fusion_positions())
     for i in range(c.split_index, c.n_layers_total):
@@ -382,10 +369,12 @@ def fuse_and_decode(model: Model, text_hidden: Tensor, visual: Tensor | None,
 
 def forward_logits(model: Model, token_ids, media_features: list[np.ndarray],
                    media_positions: list[tuple[int, int]]) -> Tensor:
-    """Full multimodal forward: unimodal half, fusion half, logits."""
-    th = encode_text_unimodal(model, token_ids)
+    """Full multimodal forward of one sequence (unimodal half, fusion half):
+    logits [seq, vocab]."""
+    th = encode_text_unimodal(model, [token_ids])
     visual = encode_media(model, media_features)
-    return fuse_and_decode(model, th, visual, media_positions)
+    logits = fuse_and_decode(model, th, visual, [media_positions])
+    return ad.reshape(logits, logits.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +382,12 @@ def forward_logits(model: Model, token_ids, media_features: list[np.ndarray],
 
 
 def _pool(hidden: Tensor, query: Tensor) -> Tensor:
-    """Attention-pool [n, d] rows to [1, d], or a batch [B, n, d] to [B, d]."""
-    *lead, n, d = hidden.shape
+    """Attention-pool a batch [B, n, d] of rows to [B, d]."""
+    b, n, d = hidden.shape
     scores = ad.scale(ad.matmul(hidden, ad.reshape(query, (d, 1))),
                       1.0 / math.sqrt(d))
-    attn = ad.softmax(ad.reshape(scores, (*lead, 1, n)), axis=-1)
-    pooled = ad.matmul(attn, hidden)  # [..., 1, d]
-    return ad.reshape(pooled, (*lead, d)) if lead else pooled
+    attn = ad.softmax(ad.reshape(scores, (b, 1, n)), axis=-1)
+    return ad.reshape(ad.matmul(attn, hidden), (b, d))
 
 
 def _l2_normalize(x: Tensor) -> Tensor:
@@ -408,21 +396,18 @@ def _l2_normalize(x: Tensor) -> Tensor:
 
 
 def embed_text(model: Model, text_hidden: Tensor) -> Tensor:
-    """Text tower: pooled, projected, unit-norm [1, d_embed] embedding of the
-    mid-LM states [seq, d] of one caption, or [B, d_embed] for a batch
-    [B, seq, d] of equal-length captions."""
-    if text_hidden.shape[-2] == 0:
+    """Text tower: pooled, projected, unit-norm embeddings [B, d_embed] of
+    the mid-LM states [B, seq, d] of equal-length captions."""
+    if text_hidden.shape[1] == 0:
         raise ValueError("embed_text: empty text segment")
     t = _pool(text_hidden, model.param("contrastive/text_query"))
     return _l2_normalize(ad.matmul(t, model.param("contrastive/text_head")))
 
 
 def embed_media(model: Model, visual: Tensor) -> Tensor:
-    """Media tower: pooled, projected, unit-norm [1, d_embed] embedding of one
-    item's resampled tokens [n_media, n_latents, d], or [B, d_embed] for a
-    batch [B, n_media, n_latents, d]."""
-    d = model.config.d_model
-    v = _pool(ad.reshape(visual, (*visual.shape[:-3], -1, d)),
+    """Media tower: pooled, projected, unit-norm embeddings [B, d_embed] of
+    resampled media [B, n_media, n_latents, d]."""
+    v = _pool(ad.reshape(visual, (visual.shape[0], -1, model.config.d_model)),
               model.param("contrastive/vis_query"))
     return _l2_normalize(ad.matmul(v, model.param("contrastive/vis_head")))
 
@@ -430,11 +415,12 @@ def embed_media(model: Model, visual: Tensor) -> Tensor:
 def contrastive_embed(model: Model, text_hidden: Tensor, visual: Tensor,
                       text_span: tuple[int, int] | None = None
                       ) -> tuple[Tensor, Tensor]:
-    """The (text, media) embeddings of one pair; ``text_span`` restricts the
-    text tower to the caption's own token positions."""
+    """The (text, media) embeddings [B, d_embed] of a batch of pairs: mid-LM
+    states [B, seq, d] and media [B, n_media, n_latents, d]. ``text_span``
+    restricts the text tower to the captions' own token positions."""
     if text_span is not None:
         lo, hi = text_span
-        text_hidden = text_hidden[lo:hi, :]
+        text_hidden = text_hidden[:, lo:hi, :]
     return embed_text(model, text_hidden), embed_media(model, visual)
 
 
@@ -448,50 +434,28 @@ def logit_scale(model: Model) -> Tensor:
 
 
 def lm_loss(logits: Tensor, targets, loss_mask) -> Tensor:
-    """Mean next-token NLL over unmasked positions."""
+    """Mean next-token NLL over unmasked positions: row ``i`` of ``logits``
+    [seq, vocab] predicts ``targets[i]``; rows past the targets are unread."""
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(loss_mask, dtype=np.float64)
     count = mask.sum()
     if count == 0:
         raise ValueError("lm_loss: every position is masked")
-    s, vocab = logits.shape
-    onehot = np.zeros((s, vocab))
-    onehot[np.arange(s), targets] = 1.0
-    logp = ad.log(ad.softmax(logits, axis=-1))
-    picked = ad.sum_(ad.mul(logp, Tensor(onehot)), axis=-1)
-    total = ad.sum_(ad.mul(picked, Tensor(mask)))
-    return ad.scale(total, -1.0 / count)
+    picked = ad.log_softmax(logits, axis=-1)[np.arange(len(targets)), targets]
+    return ad.scale(ad.sum_(ad.mul(picked, Tensor(mask))), -1.0 / count)
 
 
-def _infonce(text_emb: Tensor, image_emb: Tensor, scale_t) -> Tensor:
-    n = text_emb.shape[0]
-    logits = ad.mul(ad.matmul(image_emb, ad.transpose(text_emb)), scale_t)
-    eye = Tensor(np.eye(n))
-
-    def ce(lg):
-        logp = ad.log(ad.softmax(lg, axis=-1))
-        return ad.scale(ad.sum_(ad.mul(logp, eye)), -1.0 / n)
-
-    return ad.scale(ad.add(ce(logits), ce(ad.transpose(logits))), 0.5)
-
-
-def contrastive_loss(text_emb: Tensor, image_emb: Tensor, scale_t,
-                     n_shards: int = 1) -> Tensor:
-    """Symmetric InfoNCE; ``scale_t`` is 1/temperature (Tensor or float).
-
-    The batch is split into ``n_shards`` equal virtual workers, each scored
-    in isolation, and the shard losses averaged; one shard scores the whole
-    batch. A batch with fewer than two pairs per shard is scored whole.
-    """
+def contrastive_loss(text_emb: Tensor, image_emb: Tensor, scale_t) -> Tensor:
+    """Symmetric InfoNCE over the [n, d_embed] pairs of a batch; ``scale_t``
+    is 1/temperature (Tensor or float)."""
     n = text_emb.shape[0]
     if n < 1:
         raise ValueError("contrastive_loss: empty batch")
-    if n_shards <= 1 or n < 2 * n_shards:
-        return _infonce(text_emb, image_emb, scale_t)
-    bounds = np.linspace(0, n, n_shards + 1).astype(int)
-    parts = [_infonce(text_emb[lo:hi, :], image_emb[lo:hi, :], scale_t)
-             for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return ad.scale(ad.add_all(parts), 1.0 / len(parts))
+    logits = ad.mul(ad.matmul(image_emb, ad.transpose(text_emb)), scale_t)
+    pairs = (np.arange(n), np.arange(n))
+    to_text = ad.log_softmax(logits, axis=-1)[pairs]
+    to_media = ad.log_softmax(logits, axis=0)[pairs]
+    return ad.scale(ad.sum_(ad.add(to_text, to_media)), -0.5 / n)
 
 
 def greedy_decode(model: Model, token_ids: list[int],
@@ -511,16 +475,17 @@ def greedy_decode_batch(model: Model, prompts: list[tuple], stop_id: int,
     prompts, in prompt order.
 
     Prompts of one length and media count form a group and decode in
-    lockstep, so no row needs a padding mask. A group encodes each media item
-    once, runs its prompts as one [B, seq] batch, then feeds one [B, 1]
-    column of new tokens per pass against one batched cache: the keys and
-    values every self-attention block cached for the earlier positions, and
-    the visual keys and values each fusion layer computed on the first pass
-    (the batched-decode layout of Pope et al. 2022, arXiv 2211.05102). A row
-    that has produced ``stop_id`` keeps riding along, its tokens ignored,
-    until every row has stopped or ``max_new`` passes have run. Each row's
-    logits equal those of ``forward_logits`` over its whole sequence up to
-    rounding.
+    lockstep, so no row needs a padding mask: the trunk sees a group in its
+    one [B, ...] layout, and a lone prompt is the B=1 case. A group encodes
+    each media item once, runs its prompts as one [B, seq] batch, then feeds
+    one [B, 1] column of new tokens per pass against one batched cache: the
+    keys and values every self-attention block cached for the earlier
+    positions, and the visual keys and values each fusion layer computed on
+    the first pass (the batched-decode layout of Pope et al. 2022, arXiv
+    2211.05102). A row that has produced ``stop_id`` keeps riding along, its
+    tokens ignored, until every row has stopped or ``max_new`` passes have
+    run. Each row's logits equal those of ``forward_logits`` over its whole
+    sequence up to rounding.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (ids, feats, _) in enumerate(prompts):
@@ -538,8 +503,8 @@ def _decode_lockstep(model: Model, group: list[tuple], stop_id: int,
     ids, feats, positions = zip(*group)
     new = np.asarray(ids, dtype=np.int64)  # [B, seq]
     visual = encode_media(model, [f for row in feats for f in row])
-    if visual is not None:  # [B * n_media, ...] -> [B, n_media, ...]
-        visual = ad.reshape(visual, (len(group), -1, *visual.shape[1:]))
+    if visual is not None:  # [1, B * n_media, ...] -> [B, n_media, ...]
+        visual = ad.reshape(visual, (len(group), -1, *visual.shape[2:]))
     cache: dict = {}
     start = 0
     out: list[list[int]] = [[] for _ in group]

@@ -64,10 +64,8 @@ class TrainConfig:
     grad_clip: float = 1.0
     batch_size: int = 4
     loader_strategy: str = "min"  # round_robin | min | max
-    lambda_lm: float = 1.0
-    lambda_contrastive: float = 1.0
+    lambda_contrastive: float = 1.0  # against the LM loss, whose weight is 1
     window_len: int = 128
-    contrastive_shards: int = 1
     guard: GuardConfig = field(default_factory=GuardConfig)
     checkpoint_every: int = 0  # 0: only at the end
 
@@ -332,28 +330,24 @@ def _batch_lm_loss(model: cm.Model, batch: list[Sample]) -> Tensor:
     for s in batch:
         logits = cm.forward_logits(model, s.token_ids, s.media_features,
                                    s.media_positions)
-        per.append(cm.lm_loss(logits[0:len(s.token_ids) - 1, :],
-                              s.token_ids[1:], s.loss_mask[1:]))
+        per.append(cm.lm_loss(logits, s.token_ids[1:], s.loss_mask[1:]))
     return ad.scale(ad.add_all(per), 1.0 / len(per))
 
 
-def _batch_contrastive(model: cm.Model, batch: list[Sample],
-                       config: TrainConfig) -> Tensor | None:
+def _batch_contrastive(model: cm.Model, batch: list[Sample]) -> Tensor | None:
+    """InfoNCE over the batch's pairs, each embedded as a one-row batch."""
     ts, vs = [], []
     for s in batch:
         if s.text_span is None or not s.media_features:
             continue
-        th = cm.encode_text_unimodal(model, s.token_ids)
+        th = cm.encode_text_unimodal(model, [s.token_ids])
         vt = cm.encode_media(model, [s.media_features[0]])
         t, v = cm.contrastive_embed(model, th, vt, text_span=s.text_span)
         ts.append(t)
         vs.append(v)
     if not ts:
         return None
-    t_emb = ts[0] if len(ts) == 1 else ad.concat(ts, axis=0)
-    v_emb = vs[0] if len(vs) == 1 else ad.concat(vs, axis=0)
-    return cm.contrastive_loss(t_emb, v_emb, cm.logit_scale(model),
-                               n_shards=config.contrastive_shards)
+    return cm.contrastive_loss(ad.concat(ts), ad.concat(vs), cm.logit_scale(model))
 
 
 def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
@@ -375,9 +369,9 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
         with Tape() as tape:
             parts = []
             events = []
-            sub = [("lm", config.lambda_lm, _batch_lm_loss(model, batch))]
+            sub = [("lm", 1.0, _batch_lm_loss(model, batch))]
             if config.lambda_contrastive:
-                c = _batch_contrastive(model, batch, config)
+                c = _batch_contrastive(model, batch)
                 if c is not None:
                     sub.append(("contrastive", config.lambda_contrastive, c))
             for kind, lam, loss in sub:

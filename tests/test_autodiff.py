@@ -108,7 +108,8 @@ def test_grad_check_rejects_bad_eps():
 
 def test_grad_check_non_finite_loss():
     x = Tensor([0.0], requires_grad=True)
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError), \
+            pytest.warns(RuntimeWarning, match="divide by zero"):
         ad.grad_check(lambda: ad.sum_(ad.log(x)), [x], eps=1e-5)
 
 
@@ -192,6 +193,13 @@ def test_composites():
     np.testing.assert_allclose(ad.clamp(Tensor([-2.0, 0.5, 3.0]), 0.0, 1.0).data,
                                [0.0, 0.5, 1.0])
     assert ad.grad_check(lambda: ad.sum_(ad.rsqrt(x)), [x]) < 1e-6
+
+
+def test_gather_with_a_repeated_index_adds_its_gradients():
+    x = Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
+    with Tape() as tape:
+        ad.backward(ad.sum_(x[[0, 0, 2]]), tape)
+    np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0, 0.0])
 
 
 def test_add_all_sums_left_to_right():
@@ -301,4 +309,35 @@ def test_masked_fill_broadcast_mask_gradients(shape, seed):
     mask = rng.random(tuple(s if rng.random() < 0.5 else 1 for s in kept)) < 0.5
     w = rng.normal(size=shape)
     assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.masked_fill(x, mask, -3.0),
+                                                Tensor(w))), [x]) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes, seeds)
+def test_gather_with_repeated_indices_gradients(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = leaf(rng, shape)
+    # more reads than entries along the axis, so some entry is read twice
+    axis = int(rng.integers(0, len(shape)))
+    idx = rng.integers(0, shape[axis], size=2 * shape[axis] + 1)
+    along = tuple(idx if i == axis else slice(None) for i in range(len(shape)))
+    # paired arrays over the first two axes, as the losses pick their targets
+    n = 2 * shape[0] * shape[1] + 1
+    paired = (rng.integers(0, shape[0], size=n), rng.integers(0, shape[1], size=n))
+    for key in (along, paired):
+        w = rng.normal(size=x.data[key].shape)
+        assert ad.grad_check(lambda: ad.sum_(ad.mul(x[key], Tensor(w))), [x]) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes, seeds, st.sampled_from([1.0, 30.0, 1000.0]))
+def test_log_softmax_values_and_gradients(shape, seed, spread):
+    rng = np.random.default_rng(seed)
+    x = Tensor(spread * rng.normal(size=shape), requires_grad=True)
+    axis = int(rng.integers(-len(shape), len(shape)))
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    want = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    assert np.abs(ad.log_softmax(x, axis=axis).data - want).max() <= 1e-12
+    w = rng.normal(size=shape)
+    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.log_softmax(x, axis=axis),
                                                 Tensor(w))), [x]) < 1e-6

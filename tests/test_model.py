@@ -150,7 +150,10 @@ def test_resample_shape_contract():
     rng = np.random.default_rng(1)
     feats = cm.vision_encode(m, rng.normal(size=(8, 2, 8)))  # 16 rows
     out = cm.resample(m, feats)
-    assert out.shape == (1, 4, 16)
+    assert out.shape == (4, 16)
+    # one sequence's media as one row: [1, n_media, n_latents, d]
+    visual = cm.encode_media(m, [rng.normal(size=(8, 2, 8)), media(rng)])
+    assert visual.shape == (1, 2, 4, 16)
 
 
 def test_resample_fixed_count_for_videos():
@@ -158,7 +161,7 @@ def test_resample_fixed_count_for_videos():
     rng = np.random.default_rng(1)
     one = cm.resample(m, cm.vision_encode(m, media(rng, frames=1)))
     many = cm.resample(m, cm.vision_encode(m, media(rng, frames=6)))
-    assert one.shape == many.shape == (1, 2, 16)
+    assert one.shape == many.shape == (2, 16)
 
 
 def test_resample_permutation_invariant_at_init():
@@ -179,7 +182,7 @@ def test_resampled_tokens_distinct_at_init():
     feats = media(rng, frames=2)
     for seed in range(4):
         m = cm.build(toy_config(n_latents=4), seed=seed)
-        toks = cm.encode_media(m, [feats]).data[0]
+        toks = cm.encode_media(m, [feats]).data[0, 0]
         unit = toks / np.linalg.norm(toks, axis=-1, keepdims=True)
         cos = unit @ unit.T
         assert cos[~np.eye(4, dtype=bool)].max() < 0.9, seed
@@ -240,7 +243,7 @@ def test_dangling_media_position():
 def test_out_of_vocab_token():
     m = cm.build(toy_config(), seed=7)
     with pytest.raises(ValueError, match="out of vocabulary"):
-        cm.encode_text_unimodal(m, [0, 50])
+        cm.encode_text_unimodal(m, [[0, 50]])
 
 
 def test_token_causality():
@@ -448,7 +451,7 @@ def test_batch_decode_context_error_like_single_decode():
 
 def embed_pair(m, rng, seq=8):
     ids = rng.integers(5, m.config.vocab_size, size=seq).tolist()
-    th = cm.encode_text_unimodal(m, ids)
+    th = cm.encode_text_unimodal(m, [ids])
     vt = cm.encode_media(m, [media(rng)])
     return cm.contrastive_embed(m, th, vt, text_span=(2, seq))
 
@@ -466,10 +469,10 @@ def test_contrastive_duplicates_identical():
     rng = np.random.default_rng(1)
     ids = rng.integers(5, 50, size=8).tolist()
     f = media(rng)
-    th = cm.encode_text_unimodal(m, ids)
+    th = cm.encode_text_unimodal(m, [ids])
     vt = cm.encode_media(m, [f])
     t1, v1 = cm.contrastive_embed(m, th, vt)
-    t2, v2 = cm.contrastive_embed(m, cm.encode_text_unimodal(m, ids),
+    t2, v2 = cm.contrastive_embed(m, cm.encode_text_unimodal(m, [ids]),
                                   cm.encode_media(m, [f]))
     assert t1.data.tobytes() == t2.data.tobytes()
     assert v1.data.tobytes() == v2.data.tobytes()
@@ -478,19 +481,31 @@ def test_contrastive_duplicates_identical():
 def test_towers_equal_contrastive_embed_bit_for_bit():
     m = cm.build(toy_config(), seed=1)
     rng = np.random.default_rng(1)
-    ids = rng.integers(5, 50, size=8).tolist()
-    th = cm.encode_text_unimodal(m, ids)
-    vt = cm.encode_media(m, [media(rng, frames=2)])
-    t, v = cm.contrastive_embed(m, th, vt, text_span=(2, 7))
-    assert cm.embed_text(m, th[2:7, :]).data.tobytes() == t.data.tobytes()
-    assert cm.embed_media(m, vt).data.tobytes() == v.data.tobytes()
-    assert t.shape == v.shape == (1, 8)
+    ids = rng.integers(5, 50, size=(2, 8)).tolist()
+    feats = [media(rng, frames=2), media(rng, frames=1)]
+    rows = []
+    for r in range(2):  # each pair as a one-row batch, as training embeds it
+        th = cm.encode_text_unimodal(m, [ids[r]])
+        vt = cm.encode_media(m, [feats[r]])
+        t, v = cm.contrastive_embed(m, th, vt, text_span=(2, 7))
+        assert cm.embed_text(m, th[:, 2:7, :]).data.tobytes() == t.data.tobytes()
+        assert cm.embed_media(m, vt).data.tobytes() == v.data.tobytes()
+        assert t.shape == v.shape == (1, 8)
+        rows.append((t.data[0], v.data[0]))
+    # the two pairs as one batch: each row equals its one-row batch
+    visual = ad.concat([cm.encode_media(m, [f]) for f in feats])
+    t, v = cm.contrastive_embed(m, cm.encode_text_unimodal(m, ids), visual,
+                                text_span=(2, 7))
+    assert t.shape == v.shape == (2, 8)
+    for r, (t_row, v_row) in enumerate(rows):
+        assert np.abs(t.data[r] - t_row).max() <= 1e-12
+        assert np.abs(v.data[r] - v_row).max() <= 1e-12
 
 
 def test_contrastive_empty_text_errors():
     m = cm.build(toy_config(), seed=1)
     rng = np.random.default_rng(1)
-    th = cm.encode_text_unimodal(m, [5, 6, 7])
+    th = cm.encode_text_unimodal(m, [[5, 6, 7]])
     vt = cm.encode_media(m, [media(rng)])
     with pytest.raises(ValueError, match="empty text"):
         cm.contrastive_embed(m, th, vt, text_span=(2, 2))
@@ -535,6 +550,35 @@ def test_lm_loss_respects_mask():
     assert abs(loss - math.log(4)) < 1e-12
 
 
+def stable_log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = z - z.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+@pytest.mark.parametrize("target", [0, 1])
+def test_lm_loss_finite_where_softmax_underflows(target):
+    # softmax of [0, -1000] is [1, 0] in float64, so log(softmax) reads
+    # log(0) at entry 1: the loss is 0 for target 0 and 1000 for target 1
+    z = np.array([[0.0, -1000.0]])
+    want = -stable_log_softmax(z)[0, target]
+    assert want == [0.0, 1000.0][target]
+    logits = Tensor(z, requires_grad=True)
+    with Tape() as tape:
+        loss = cm.lm_loss(logits, [target], [1])
+        ad.backward(loss, tape)
+    assert abs(loss.item() - want) <= 1e-12 * max(1.0, want)
+    assert np.isfinite(logits.grad).all()
+
+
+def test_contrastive_loss_finite_where_softmax_underflows():
+    e = np.eye(2)
+    logits = 1e4 * e
+    want = -0.5 * (np.diag(stable_log_softmax(logits, -1)).mean()
+                   + np.diag(stable_log_softmax(logits, 0)).mean())
+    assert want == 0.0
+    assert abs(cm.contrastive_loss(Tensor(e), Tensor(e), 1e4).item() - want) <= 1e-12
+
+
 def test_contrastive_loss_batch_of_one_is_zero():
     t = Tensor([[1.0, 0.0]])
     v = Tensor([[1.0, 0.0]])
@@ -566,21 +610,6 @@ def test_contrastive_loss_permutation_invariant():
     perm = rng.permutation(5)
     b = cm.contrastive_loss(Tensor(t[perm]), Tensor(v[perm]), 3.0).item()
     assert abs(a - b) < 1e-12
-
-
-def test_contrastive_scope_shards():
-    rng = np.random.default_rng(4)
-    t = rng.normal(size=(8, 4))
-    v = rng.normal(size=(8, 4))
-    per = cm.contrastive_loss(Tensor(t), Tensor(v), 1.0, n_shards=2).item()
-    halves = (cm.contrastive_loss(Tensor(t[:4]), Tensor(v[:4]), 1.0).item()
-              + cm.contrastive_loss(Tensor(t[4:]), Tensor(v[4:]), 1.0).item()) / 2
-    assert abs(per - halves) < 1e-12
-    whole = cm._infonce(Tensor(t), Tensor(v), 1.0).item()
-    assert cm.contrastive_loss(Tensor(t), Tensor(v), 1.0, n_shards=1).item() == whole
-    assert abs(per - whole) > 1e-6
-    # fewer than two pairs per shard: the batch is scored whole
-    assert cm.contrastive_loss(Tensor(t), Tensor(v), 1.0, n_shards=5).item() == whole
 
 
 # -- the combined objective, as train_step forms it --------------------------
@@ -631,11 +660,10 @@ def test_combined_loss_three_types():
     assert [r["c_loss"] is not None for r in rows] == [True, True, False]
     # reference: every source adds 1 * (1 * L_lm + 1 * L_c), L_c on paired types
     model = cm.build(toy_config(), seed=0)
-    config = tr.TrainConfig(warmup_steps=1)
     for spec, batch in cycle:
         terms = [tr._batch_lm_loss]
         if spec.data_type in tr.PAIRED_TYPES:
-            terms.append(lambda m, b: tr._batch_contrastive(m, b, config))
+            terms.append(tr._batch_contrastive)
         for term in terms:
             with Tape() as tape:
                 ad.backward(term(model, batch), tape)
@@ -671,7 +699,7 @@ def test_pooling_query_gradient_matches_finite_differences():
     def f():
         ts, vs = [], []
         for fm in feats:
-            th = cm.encode_text_unimodal(m, ids)
+            th = cm.encode_text_unimodal(m, [ids])
             vt = cm.encode_media(m, [fm])
             t, v = cm.contrastive_embed(m, th, vt)
             ts.append(t)

@@ -88,8 +88,8 @@ def test_eval_fewshot_match_agrees_with_decode(tmp_path):
 
 
 def test_batched_embeddings_match_unbatched_towers(tmp_path):
-    """Each row of the batched embeddings equals the tower run unbatched on
-    its one caption or media item, as training runs it."""
+    """Each row of the batched embeddings equals the tower run on a one-row
+    batch of its caption or media item, as training runs it."""
     meta, vocab = corpus(tmp_path)
     model = tiny_model(vocab)
     rng = np.random.default_rng(4)
@@ -103,8 +103,8 @@ def test_batched_embeddings_match_unbatched_towers(tmp_path):
     for row, caption in zip(batched, captions):
         tokens, _, ((lo, hi),) = serialize(
             Document(segments=[MediaRef(0), TextSpan(caption)], media=[blank]), vocab)
-        th = cm.encode_text_unimodal(model, tokens)
-        want = cm.embed_text(model, th[lo:hi, :]).data[0]
+        th = cm.encode_text_unimodal(model, [tokens])
+        want = cm.embed_text(model, th[:, lo:hi, :]).data[0]
         assert np.abs(row - want).max() <= 1e-12
     feats = [sy.combo_features(meta, c, c, rng, video=c % 2 == 1) for c in range(3)]
     batched = sy.media_embeddings(model, feats)

@@ -10,6 +10,11 @@ A fusion layer is placed immediately before decoder blocks
 the residual stream by ``compress_ratio``, cross-attends to the visual
 tokens, up-projects back, and is scaled by ``tanh(gate)`` with the gate
 starting at zero, so a freshly built model is exactly the frozen base LM.
+
+Every attention site (the decoder blocks, the fusion layers, the resampler
+and the contrastive pooling) is one ``ad.attention`` node and every affine
+layer norm one ``ad.layer_norm`` node. Media items of one feature shape are
+vision-encoded and resampled as one batch.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-NEG_INF = -1e30
 
 
 @dataclass
@@ -66,10 +69,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -174,7 +173,7 @@ def count_params(model: Model) -> tuple[int, int]:
 
 
 def _ln(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-    return ad.add(ad.mul(ad.layer_norm(x, axis=-1), g), b)
+    return ad.layer_norm(x, axis=-1, gain=g, bias=b)
 
 
 def _heads(x: Tensor, n_heads: int) -> Tensor:
@@ -205,11 +204,8 @@ def _self_attention(model: Model, prefix: str, x: Tensor,
             k_past, v_past = cache[prefix]
             k, v = ad.concat([k_past, k], axis=-2), ad.concat([v_past, v], axis=-2)
         cache[prefix] = (k, v)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     causal = np.triu(np.ones((s, k.shape[-2]), dtype=bool), k=1 + start)
-    scores = ad.masked_fill(scores, causal[None, :, :], NEG_INF)
-    attn = ad.softmax(scores, axis=-1)
-    out = _merge_heads(ad.matmul(attn, v))
+    out = _merge_heads(ad.attention(q, k, v, 1.0 / math.sqrt(dh), hidden=causal))
     return ad.matmul(out, model.param(prefix + "wo"))
 
 
@@ -253,16 +249,18 @@ def encode_text_unimodal(model: Model, token_ids, cache: dict | None = None,
 
 
 def vision_encode(model: Model, features: np.ndarray) -> Tensor:
-    """Frozen vision pathway over a [frames, patches, d_vision] feature grid.
+    """Frozen vision pathway over a [frames, patches, d_vision] feature grid,
+    or a batch [n, frames, patches, d_vision] of equal-size grids.
 
-    Returns [frames * patches, d_vision]; deterministic, carries no gradient.
+    Returns [frames * patches, d_vision] (or [n, frames * patches,
+    d_vision]); deterministic, carries no gradient.
     """
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 3 or feats.shape[-1] != model.config.d_vision:
+    if feats.ndim not in (3, 4) or feats.shape[-1] != model.config.d_vision:
         raise ValueError(
             f"media features {feats.shape} do not match d_vision "
             f"{model.config.d_vision}")
-    x = Tensor(feats.reshape(-1, model.config.d_vision))
+    x = Tensor(feats.reshape(*feats.shape[:-3], -1, model.config.d_vision))
     h = ad.gelu(ad.add(ad.matmul(x, model.param("frozen/vis_w1")),
                        model.param("frozen/vis_b1")))
     return ad.add(ad.matmul(h, model.param("frozen/vis_w2")),
@@ -270,26 +268,44 @@ def vision_encode(model: Model, features: np.ndarray) -> Tensor:
 
 
 def resample(model: Model, features: Tensor) -> Tensor:
-    """Map any number of vision feature rows to n_latents tokens
-    [n_latents, d]."""
+    """Map any number of vision feature rows [rows, d_vision] to n_latents
+    tokens [n_latents, d]; a batch [n, rows, d_vision] of equal-size items
+    maps to [n, n_latents, d], all items read by the one set of latents."""
     lat = model.param("resampler/latents")
     q = ad.matmul(lat, model.param("resampler/wq"))
     k = ad.matmul(features, model.param("resampler/wk"))
     v = ad.matmul(features, model.param("resampler/wv"))
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)),
-                      1.0 / math.sqrt(model.config.d_model))
-    pooled = ad.matmul(ad.softmax(scores, axis=-1), v)
+    pooled = ad.attention(q, k, v, 1.0 / math.sqrt(model.config.d_model))
     return ad.layer_norm(ad.add(lat, ad.matmul(pooled, model.param("resampler/wo"))),
                          axis=-1)
 
 
+def in_order(parts: list[Tensor], groups: list[list[int]]) -> Tensor:
+    """Join per-group results along axis 0 and put their rows back in input
+    order: row ``j`` of ``parts[g]`` belongs to input ``groups[g][j]``."""
+    joined = ad.concat(parts)
+    order = [i for rows in groups for i in rows]
+    if order == sorted(order):
+        return joined
+    return joined[np.argsort(order)]
+
+
 def encode_media(model: Model, media_features: list[np.ndarray]) -> Tensor | None:
     """The media of one sequence, each item vision-encoded and resampled:
-    [1, n_media, n_latents, d_model], or None for no media."""
+    [1, n_media, n_latents, d_model], or None for no media. Items of one
+    feature shape (say, all the 1-frame images) go through one
+    ``vision_encode`` and one ``resample`` call as a batch."""
     if not media_features:
         return None
     c = model.config
-    toks = ad.concat([resample(model, vision_encode(model, f)) for f in media_features])
+    groups: dict[tuple, list[int]] = {}
+    for i, f in enumerate(media_features):
+        groups.setdefault(np.shape(f), []).append(i)
+    parts = []
+    for rows in groups.values():
+        feats = np.stack([media_features[i] for i in rows])
+        parts.append(resample(model, vision_encode(model, feats)))
+    toks = in_order(parts, list(groups.values()))
     return ad.reshape(toks, (1, len(media_features), c.n_latents, c.d_model))
 
 
@@ -313,11 +329,8 @@ def _fusion(model: Model, pos: int, x: Tensor, vtok_flat: Tensor,
         v = ad.matmul(vtok_flat, model.param(p + "wv"))
         if cache is not None:
             cache[p] = (k, v)
-    db = q.shape[-1]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(db))
-    scores = ad.masked_fill(scores, ~visible, NEG_INF)
-    attn = ad.softmax(scores, axis=-1)
-    z = ad.matmul(ad.matmul(attn, v), model.param(p + "up"))
+    attended = ad.attention(q, k, v, 1.0 / math.sqrt(q.shape[-1]), hidden=~visible)
+    z = ad.matmul(attended, model.param(p + "up"))
     row_has_media = visible.any(axis=-1, keepdims=True).astype(np.float64)
     z = ad.mul(z, Tensor(row_has_media))
     gate = ad.tanh(model.param(p + "gate"))
@@ -382,12 +395,11 @@ def forward_logits(model: Model, token_ids, media_features: list[np.ndarray],
 
 
 def _pool(hidden: Tensor, query: Tensor) -> Tensor:
-    """Attention-pool a batch [B, n, d] of rows to [B, d]."""
-    b, n, d = hidden.shape
-    scores = ad.scale(ad.matmul(hidden, ad.reshape(query, (d, 1))),
-                      1.0 / math.sqrt(d))
-    attn = ad.softmax(ad.reshape(scores, (b, 1, n)), axis=-1)
-    return ad.reshape(ad.matmul(attn, hidden), (b, d))
+    """Attention-pool a batch [B, n, d] of rows to [B, d] with one query [d]
+    shared by every row."""
+    b, _, d = hidden.shape
+    pooled = ad.attention(ad.reshape(query, (1, d)), hidden, hidden, 1.0 / math.sqrt(d))
+    return ad.reshape(pooled, (b, d))
 
 
 def _l2_normalize(x: Tensor) -> Tensor:

@@ -265,7 +265,8 @@ def caption_text_embeddings(model: cm.Model, vocab: Vocab, captions: list[str]
 
 def media_embeddings(model: cm.Model, features: list[np.ndarray]) -> np.ndarray:
     """[n, d_embed] media-tower embeddings of single media items: each item is
-    encoded on its own, then all are pooled in one batched call."""
+    resampled on its own (``encode_media`` batches items of one shape), then
+    all are pooled in one batched call."""
     visual = cm.encode_media(model, features)  # [1, n, n_latents, d]
     visual = ad.reshape(visual, (len(features), 1, *visual.shape[2:]))
     return cm.embed_media(model, visual).data

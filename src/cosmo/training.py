@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -335,24 +335,35 @@ def _batch_lm_loss(model: cm.Model, batch: list[Sample]) -> Tensor:
 
 
 def _batch_contrastive(model: cm.Model, batch: list[Sample]) -> Tensor | None:
-    """InfoNCE over the batch's pairs, each embedded as a one-row batch."""
+    """InfoNCE over the batch's pairs. Pairs of one token length and caption
+    span are embedded as one [B, seq] batch; the embeddings are then put back
+    in batch order."""
+    pairs = [s for s in batch if s.text_span is not None and s.media_features]
+    if not pairs:
+        return None
+    groups: dict[tuple, list[int]] = {}
+    for i, s in enumerate(pairs):
+        groups.setdefault((len(s.token_ids), s.text_span), []).append(i)
     ts, vs = [], []
-    for s in batch:
-        if s.text_span is None or not s.media_features:
-            continue
-        th = cm.encode_text_unimodal(model, [s.token_ids])
-        vt = cm.encode_media(model, [s.media_features[0]])
-        t, v = cm.contrastive_embed(model, th, vt, text_span=s.text_span)
+    for (_, span), rows in groups.items():
+        th = cm.encode_text_unimodal(model, [pairs[i].token_ids for i in rows])
+        vt = cm.encode_media(model, [pairs[i].media_features[0] for i in rows])
+        vt = ad.reshape(vt, (len(rows), 1, *vt.shape[2:]))
+        t, v = cm.contrastive_embed(model, th, vt, text_span=span)
         ts.append(t)
         vs.append(v)
-    if not ts:
-        return None
-    return cm.contrastive_loss(ad.concat(ts), ad.concat(vs), cm.logit_scale(model))
+    order = list(groups.values())
+    return cm.contrastive_loss(cm.in_order(ts, order), cm.in_order(vs, order),
+                               cm.logit_scale(model))
 
 
 def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
                loss_hook=None) -> list[dict]:
     """Run one accumulation cycle and, if anything was accepted, one update.
+
+    Returns one metrics row per source batch: its losses, the learning rate,
+    the guard's verdict, and the step's global gradient norm before clipping
+    (``grad_norm``, None when the cycle was skipped).
 
     ``loss_hook(step, source_name, kind, loss_tensor) -> loss_tensor`` is a
     fault-injection point used by the stability tests.
@@ -365,7 +376,7 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
         if not batch:
             continue
         row = {"step": state.step, "type": spec.name, "lm_loss": None,
-               "c_loss": None, "lr": lr, "guard_event": None}
+               "c_loss": None, "lr": lr, "guard_event": None, "grad_norm": None}
         with Tape() as tape:
             parts = []
             events = []
@@ -408,7 +419,9 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
                               else ("scale" if "scale" in events else "accept"))
         metrics.append(row)
     if any_accepted:
-        clip_gradients(model, config.grad_clip)
+        norm = clip_gradients(model, config.grad_clip)
+        for row in metrics:
+            row["grad_norm"] = norm
         adamw_update(model, state, lr, config)
     else:
         state.events.append({"step": state.step, "event": "cycle_skipped"})
@@ -487,10 +500,26 @@ def save_checkpoint(path: str, model: cm.Model, state: TrainState,
     save_archive(path, manifest, arrays)
 
 
+def _check_fields(cls, d: dict, what: str) -> None:
+    """Raise ``ArchiveError`` naming a field of ``d`` that the dataclass
+    ``cls`` lacks, or one of ``cls`` that ``d`` lacks: such a checkpoint was
+    written by another version of the config."""
+    names = {f.name for f in fields(cls)}
+    unknown, missing = sorted(set(d) - names), sorted(names - set(d))
+    if unknown:
+        raise ArchiveError(f"{what} has unknown field {unknown[0]!r}")
+    if missing:
+        raise ArchiveError(f"{what} lacks field {missing[0]!r}")
+
+
 def load_checkpoint(path: str) -> tuple[cm.Model, TrainState, TrainConfig,
                                         Vocab, dict | None]:
     manifest, arrays = load_archive(path)
-    config = cm.ModelConfig.from_dict(manifest["config"])
+    tr = manifest["train"]
+    _check_fields(cm.ModelConfig, manifest["config"], "model config")
+    _check_fields(TrainConfig, tr["config"], "train config")
+    _check_fields(GuardConfig, tr["config"]["guard"], "guard config")
+    config = cm.ModelConfig(**manifest["config"])
     model = cm.build(config, seed=manifest["seed"])
     for name, p in list(model.frozen_params.items()) + \
             list(model.learnable_params.items()):
@@ -501,7 +530,6 @@ def load_checkpoint(path: str) -> tuple[cm.Model, TrainState, TrainConfig,
                 f"shape mismatch for {name}: checkpoint {arrays[name].shape} "
                 f"vs model {p.shape}")
         p.data = arrays[name]
-    tr = manifest["train"]
     state = TrainState(step=manifest["step"], opt_steps=tr["opt_steps"],
                        param_steps=dict(tr["param_steps"]),
                        emas=dict(tr["emas"]), guard_counts=dict(tr["guard_counts"]),

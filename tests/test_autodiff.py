@@ -341,3 +341,121 @@ def test_log_softmax_values_and_gradients(shape, seed, spread):
     w = rng.normal(size=shape)
     assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.log_softmax(x, axis=axis),
                                                 Tensor(w))), [x]) < 1e-6
+
+
+# -- fused kernels against the chains they replace ----------------------------
+
+def unfused_attention(q, k, v, scale, hidden=None):
+    """The op chain ``ad.attention`` replaces: a query block with fewer
+    leading dims is broadcast up to the keys' by an add."""
+    lead = k.shape[:-2]
+    if q.shape[:-2] != lead:
+        q = ad.add(q, Tensor(np.zeros(lead + q.shape[-2:])))
+    nd = k.ndim
+    kt = ad.transpose(k, tuple(range(nd - 2)) + (nd - 1, nd - 2))
+    scores = ad.scale(ad.matmul(q, kt), scale)
+    if hidden is not None:
+        scores = ad.masked_fill(scores, hidden, ad.NEG_INF)
+    return ad.matmul(ad.softmax(scores, axis=-1), v)
+
+
+@st.composite
+def attention_cases(draw):
+    """Leading dims for 2-D to 4-D operands, the sizes, whether the query
+    block is shared by the whole batch, and a seed."""
+    lead = tuple(draw(st.lists(dims, min_size=0, max_size=2)))
+    sq, sk, dk, dv = (draw(dims) for _ in range(4))
+    return lead, sq, sk, dk, dv, draw(st.booleans()), draw(seeds)
+
+
+def attention_inputs(case):
+    lead, sq, sk, dk, dv, shared_query, seed = case
+    rng = np.random.default_rng(seed)
+    q = leaf(rng, ((sq, dk) if shared_query else lead + (sq, dk)))
+    k, v = leaf(rng, lead + (sk, dk)), leaf(rng, lead + (sk, dv))
+    # some entries hidden, the first query row hidden throughout; the mask
+    # leaves out the leading dims and broadcasts over them
+    hidden = rng.random((sq, sk)) < 0.4
+    hidden[0] = True
+    return rng, q, k, v, hidden
+
+
+@settings(max_examples=40, deadline=None)
+@given(attention_cases())
+def test_attention_equals_unfused_chain(case):
+    rng, q, k, v, hidden = attention_inputs(case)
+    for mask in (None, hidden):
+        got = ad.attention(q, k, v, 0.7, hidden=mask).data
+        want = unfused_attention(q, k, v, 0.7, mask).data
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+    # a row that sees nothing averages the values uniformly
+    out = ad.attention(q, k, v, 0.7, hidden=hidden).data
+    assert np.isfinite(out).all()
+    uniform = np.broadcast_to(v.data.mean(axis=-2), out[..., 0, :].shape)
+    assert np.abs(out[..., 0, :] - uniform).max() <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(attention_cases())
+def test_attention_gradients(case):
+    rng, q, k, v, hidden = attention_inputs(case)
+    w = rng.normal(size=ad.attention(q, k, v, 0.7).shape)
+    for mask in (None, hidden):
+        assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.attention(q, k, v, 0.7, mask),
+                                                    Tensor(w))), [q, k, v]) < 1e-6
+    # the fused node's gradients equal the chain's
+    grads = []
+    for f in (ad.attention, unfused_attention):
+        ad.zero_grads([q, k, v])
+        with Tape() as tape:
+            ad.backward(ad.sum_(ad.mul(f(q, k, v, 0.7, hidden), Tensor(w))), tape)
+        grads.append([t.grad.copy() for t in (q, k, v)])
+    for a, b in zip(*grads):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def test_attention_rejects_nonconforming_shapes():
+    with pytest.raises(ad.ShapeError, match="attention"):
+        ad.attention(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))),
+                     Tensor(np.ones((4, 5))), 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(dims, min_size=2, max_size=4).map(tuple), seeds)
+def test_affine_layer_norm_equals_unfused_and_gradients(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = leaf(rng, shape)
+    g, b = leaf(rng, shape[-1:]), leaf(rng, shape[-1:])
+    want = ad.add(ad.mul(ad.layer_norm(x), g), b).data
+    assert np.abs(ad.layer_norm(x, gain=g, bias=b).data - want).max() <= 1e-12
+    assert np.abs(ad.layer_norm(x, gain=g).data
+                  - ad.mul(ad.layer_norm(x), g).data).max() <= 1e-12
+    assert np.abs(ad.layer_norm(x, bias=b).data
+                  - ad.add(ad.layer_norm(x), b).data).max() <= 1e-12
+    w = rng.normal(size=shape)
+    loss = lambda **kw: ad.sum_(ad.mul(ad.layer_norm(x, **kw), Tensor(w)))  # noqa: E731
+    grads = []
+    for f in (lambda: loss(gain=g, bias=b),
+              lambda: ad.sum_(ad.mul(ad.add(ad.mul(ad.layer_norm(x), g), b), Tensor(w)))):
+        ad.zero_grads([x, g, b])
+        with Tape() as tape:
+            ad.backward(f(), tape)
+        grads.append([t.grad.copy() for t in (x, g, b)])
+    for a, c in zip(*grads):
+        np.testing.assert_allclose(a, c, rtol=1e-12, atol=1e-12)
+    # a row of nearly equal values has a std near sqrt(eps), where central
+    # differences are coarse for the fused and unfused forms alike: spread it
+    x.data += np.arange(shape[-1])
+    for kw, params in (({"gain": g, "bias": b}, [x, g, b]), ({"gain": g}, [x, g]),
+                       ({"bias": b}, [x, b])):
+        assert ad.grad_check(lambda: loss(**kw), params) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(dims, min_size=2, max_size=4).map(tuple), seeds,
+       st.sampled_from([1.0, 3.0, 30.0]))
+def test_gelu_matches_the_pow_formula(shape, seed, spread):
+    x = spread * np.random.default_rng(seed).normal(size=shape)
+    want = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
+    assert np.abs(ad.gelu(Tensor(x)).data - want).max() <= 1e-12

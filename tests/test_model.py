@@ -188,6 +188,36 @@ def test_resampled_tokens_distinct_at_init():
         assert cos[~np.eye(4, dtype=bool)].max() < 0.9, seed
 
 
+def _value_and_grads(m, f):
+    """``f()``'s value and the learnable gradients of a fixed weighted sum."""
+    ad.zero_grads(m.learnable_params)
+    with Tape() as tape:
+        out = f()
+        w = np.random.default_rng(0).normal(size=out.shape)
+        ad.backward(ad.sum_(ad.mul(out, Tensor(w))), tape)
+    grads = {k: p.grad for k, p in m.learnable_params.items() if p.grad is not None}
+    ad.zero_grads(m.learnable_params)
+    return out.data, grads
+
+
+def test_encode_media_batches_by_shape_in_input_order():
+    # 1-frame images and 3-frame videos, interleaved: one vision_encode and
+    # one resample per shape, the items back in input order
+    m = cm.build(toy_config(), seed=3)
+    inputs.move_off_init(m, 3)
+    rng = np.random.default_rng(3)
+    feats = [media(rng, frames=f) for f in (1, 3, 1, 3, 3, 1)]
+    got, got_grads = _value_and_grads(m, lambda: cm.encode_media(m, feats))
+    want, want_grads = _value_and_grads(m, lambda: ad.concat(
+        [cm.encode_media(m, [f]) for f in feats], axis=1))
+    assert got.shape == want.shape == (1, 6, 2, 16)
+    assert np.abs(got - want).max() <= 1e-12
+    assert set(got_grads) == set(want_grads) == {k for k in m.learnable_params
+                                                 if k.startswith("resampler/")}
+    for k, g in want_grads.items():
+        assert np.abs(got_grads[k] - g).max() <= 1e-12, k
+
+
 # -- fusion and logits ------------------------------------------------------
 
 def make_inputs(m, rng, n_media=1, seq=10):
@@ -363,18 +393,21 @@ def test_cached_decode_context_error_at_same_step(monkeypatch):
 
 def test_cached_decode_encodes_each_media_once(monkeypatch):
     m, ids, feats, pos = decode_inputs(0, n_media=3)
-    calls = {"vision_encode": 0, "resample": 0}
-    for name in calls:
+    # items of one shape share a call, so count the items each call encodes:
+    # the leading dim of a batch, or 1 for an item on its own
+    items = {"vision_encode": 0, "resample": 0}
+    batch_ndim = {"vision_encode": 4, "resample": 3}
+    for name in items:
         fn = getattr(cm, name)
 
-        def counting(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+        def counting(model, x, _fn=fn, _name=name):
+            items[_name] += x.shape[0] if len(x.shape) == batch_ndim[_name] else 1
+            return _fn(model, x)
 
         monkeypatch.setattr(cm, name, counting)
     out = cm.greedy_decode(m, ids, feats, pos, stop_id=-1, max_new=6)
     assert len(out) == 6
-    assert calls == {"vision_encode": 3, "resample": 3}
+    assert items == {"vision_encode": 3, "resample": 3}
 
 
 # -- batched greedy decoding ------------------------------------------------
@@ -484,7 +517,7 @@ def test_towers_equal_contrastive_embed_bit_for_bit():
     ids = rng.integers(5, 50, size=(2, 8)).tolist()
     feats = [media(rng, frames=2), media(rng, frames=1)]
     rows = []
-    for r in range(2):  # each pair as a one-row batch, as training embeds it
+    for r in range(2):  # each pair as a one-row batch
         th = cm.encode_text_unimodal(m, [ids[r]])
         vt = cm.encode_media(m, [feats[r]])
         t, v = cm.contrastive_embed(m, th, vt, text_span=(2, 7))
@@ -682,6 +715,39 @@ def test_combined_loss_interleaved_weight_doubles():
             assert two[k] is None, k
         else:
             np.testing.assert_array_equal(two[k], 2.0 * g, err_msg=k)
+
+
+def test_batch_contrastive_equals_per_pair_infonce():
+    # captions of two lengths and spans, interleaved, with image and video
+    # media; the unpaired sample is left out
+    m = cm.build(toy_config(), seed=4)
+    inputs.move_off_init(m, 4)
+    rng = np.random.default_rng(4)
+    batch = []
+    for n, frames in ((6, 1), (8, 3), (6, 3), (8, 1), (6, 1)):
+        ids = rng.integers(5, 50, size=n).tolist()
+        batch.append(tr.Sample(ids, [media(rng, frames=frames)], [(0, 0)], np.ones(n),
+                               text_span=(1, n - 1)))
+    batch.insert(2, _sample(rng, paired=False))
+
+    def per_pair():
+        ts, vs = [], []
+        for s in batch:
+            if s.text_span is None:
+                continue
+            t, v = cm.contrastive_embed(m, cm.encode_text_unimodal(m, [s.token_ids]),
+                                        cm.encode_media(m, s.media_features[:1]),
+                                        text_span=s.text_span)
+            ts.append(t)
+            vs.append(v)
+        return cm.contrastive_loss(ad.concat(ts), ad.concat(vs), cm.logit_scale(m))
+
+    got, got_grads = _value_and_grads(m, lambda: tr._batch_contrastive(m, batch))
+    want, want_grads = _value_and_grads(m, per_pair)
+    assert abs(float(got) - float(want)) <= 1e-12
+    assert set(got_grads) == set(want_grads)
+    for k, g in want_grads.items():
+        assert np.abs(got_grads[k] - g).max() <= 1e-12, k
 
 
 # -- gradients --------------------------------------------------------------

@@ -294,6 +294,9 @@ def test_paired_type_gets_contrastive(tiny_setup):
     loader.start_epoch(state.rng)
     rows = tr.train_step(model, loader.next_cycle(state.rng), state, config)
     assert all(r["c_loss"] is not None for r in rows)
+    # every row carries the step's global gradient norm, taken before clipping
+    assert len({r["grad_norm"] for r in rows}) == 1
+    assert all(math.isfinite(r["grad_norm"]) and r["grad_norm"] > 0 for r in rows)
 
 
 def test_source_weight_scales_gradient(tiny_setup):
@@ -458,6 +461,32 @@ def test_checkpoint_shape_mismatch_refused(tiny_setup, tmp_path):
     bad = str(tmp_path / "bad.ckpt")
     save_archive(bad, {k: v for k, v in manifest.items() if k != "params"}, arrays)
     with pytest.raises(ArchiveError, match="shape mismatch"):
+        tr.load_checkpoint(bad)
+
+
+def test_checkpoint_config_field_mismatch_refused(tiny_setup, tmp_path):
+    vocab, specs, model, tmp = tiny_setup
+    config = cfg(max_steps=2)
+    tr.train(model, tr.make_sources(specs, vocab, config), config,
+             str(tmp / "out"), vocab)
+    from cosmo.checkpoint import load_archive, save_archive, ArchiveError
+    manifest, arrays = load_archive(str(tmp / "out" / "final.ckpt"))
+    bad = str(tmp_path / "bad.ckpt")
+    # a field this TrainConfig does not have, as an older version wrote it
+    manifest["train"]["config"]["contrastive_shards"] = ["pairs.jsonl"]
+    save_archive(bad, manifest, arrays)
+    with pytest.raises(ArchiveError, match="train config has unknown field "
+                                           "'contrastive_shards'"):
+        tr.load_checkpoint(bad)
+    del manifest["train"]["config"]["contrastive_shards"]
+    del manifest["train"]["config"]["guard"]["ema_decay"]
+    save_archive(bad, manifest, arrays)
+    with pytest.raises(ArchiveError, match="guard config lacks field 'ema_decay'"):
+        tr.load_checkpoint(bad)
+    manifest["train"]["config"]["guard"]["ema_decay"] = 0.99
+    del manifest["config"]["n_latents"]
+    save_archive(bad, manifest, arrays)
+    with pytest.raises(ArchiveError, match="model config lacks field 'n_latents'"):
         tr.load_checkpoint(bad)
 
 

@@ -5,11 +5,17 @@ clamped Gaussian noise so images can match different texts across epochs,
 solve the one-to-one assignment exactly (optimal transport with uniform
 marginals over a bipartite set reduces to linear assignment), and replace
 the matched text of poorly aligned images with generated pseudo-captions.
+
+The assignment is solved in pure Python by the Hungarian method in its
+shortest-augmenting-path form (Kuhn 1955; the variant scipy follows is
+Crouse 2016, IEEE TAES 52(4)): O(n²m) for n ≤ m, which at a document's
+handful of images and texts beats any vectorised form.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,40 +28,80 @@ DEFAULT_REPLACE_BELOW = 0.20
 MMC4_BASELINE_THRESHOLD = 0.24
 
 
-def draw_noise(rng: np.random.Generator, shape, sigma: float = DEFAULT_SIGMA,
-               clamp: float = DEFAULT_CLAMP) -> np.ndarray:
-    """Zero-mean Gaussian noise with every entry clipped to [-clamp, clamp]."""
-    if sigma <= 0 or clamp <= 0:
-        raise ValueError("sigma and clamp must be positive")
-    return np.clip(rng.normal(0.0, sigma, size=shape), -clamp, clamp)
-
-
 def perturb(scores: np.ndarray, rng: np.random.Generator,
             sigma: float = DEFAULT_SIGMA, clamp: float = DEFAULT_CLAMP
             ) -> np.ndarray:
-    """Return scores + clamped noise; the input matrix is untouched."""
+    """Return scores + zero-mean Gaussian noise with every entry clipped to
+    [-clamp, clamp]; the input matrix is untouched."""
+    if sigma <= 0 or clamp <= 0:
+        raise ValueError("sigma and clamp must be positive")
     scores = np.asarray(scores, dtype=np.float64)
-    return scores + draw_noise(rng, scores.shape, sigma, clamp)
+    return scores + np.clip(rng.normal(0.0, sigma, size=scores.shape), -clamp, clamp)
+
+
+def _assign(cost: list[list[float]]) -> list[int]:
+    """Minimum-cost assignment of each row of an n×m cost matrix, n ≤ m, to
+    its own column: shortest augmenting paths over dual potentials.
+
+    Rows enter one at a time. Each grows a Dijkstra tree over reduced costs
+    until it reaches a free column, the potentials shift so that the tree's
+    edges stay tight, and the path flips. Column 0 is a sentinel that holds
+    the entering row; ``owner[j]`` is the 1-based row on column j.
+    """
+    n, m = len(cost), len(cost[0])
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
+    owner = [0] * (m + 1)
+    prev = [0] * (m + 1)
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        dist = [math.inf] * (m + 1)
+        done = [False] * (m + 1)
+        while owner[j0]:
+            done[j0] = True
+            i0 = owner[j0]
+            row, ui = cost[i0 - 1], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, m + 1):
+                if not done[j]:
+                    reduced = row[j - 1] - ui - v[j]
+                    if reduced < dist[j]:
+                        dist[j], prev[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(m + 1):
+                if done[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:  # flip the path back to the sentinel
+            j1 = prev[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    cols = [0] * n
+    for j in range(1, m + 1):
+        if owner[j]:
+            cols[owner[j] - 1] = j - 1
+    return cols
 
 
 def match(scores: np.ndarray) -> list[tuple[int, int]]:
     """One-to-one image/text assignment maximizing total similarity, as
-    (image_index, text_index) pairs in image order."""
+    (image_index, text_index) pairs in image order. Exact: the Hungarian
+    method by shortest augmenting paths, O(n²m) for n = min and m = max of
+    the two counts."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or 0 in scores.shape:
         raise ValueError(f"similarity matrix must be 2D and non-empty, "
                          f"got shape {scores.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("similarity matrix has non-finite entries")
-    # imported here so that loading cosmo for training or decoding leaves
-    # scipy unloaded (about 40 MB of resident memory)
-    from scipy.optimize import linear_sum_assignment
-
     if scores.shape[0] <= scores.shape[1]:
-        rows, cols = linear_sum_assignment(-scores)
-        return list(zip(rows.tolist(), cols.tolist()))
-    rows, cols = linear_sum_assignment(-scores.T)
-    return sorted((i, t) for t, i in zip(rows.tolist(), cols.tolist()))
+        return list(enumerate(_assign((-scores).tolist())))
+    return sorted((i, t) for t, i in enumerate(_assign((-scores.T).tolist())))
 
 
 @dataclass
@@ -94,9 +140,12 @@ def filter_and_replace(doc: Document, scores: np.ndarray,
         raise ValueError(f"unknown mode {mode!r}")
     scores = np.asarray(scores, dtype=np.float64)
     rec = PrepRecord(assignment=list(assignment))
-    for i, _ in assignment:
+    spans = doc.text_spans()
+    for i, t in assignment:
         if not 0 <= i < len(doc.media):
             raise ValueError(f"assignment image index {i} out of range")
+        if not 0 <= t < len(spans):
+            raise ValueError(f"assignment text index {t} out of range")
 
     too_small = set()
     if min_image_px is not None:
@@ -115,7 +164,6 @@ def filter_and_replace(doc: Document, scores: np.ndarray,
             else "no media left after threshold filtering"
         return None, rec
 
-    spans = doc.text_spans()
     new_texts = {s: span.text for s, span in enumerate(spans)}
     if mode == "replace":
         for i, t in sorted(low.items()):
@@ -177,6 +225,9 @@ def prep_shard(docs_in: list[Document], sims: dict[str, list[list[float]]],
                replace_below: float = DEFAULT_REPLACE_BELOW,
                min_image_px: int | None = None,
                mode: str = "replace") -> tuple[list[Document], dict[str, dict]]:
+    """Noisy-match and repair each document. One with no similarity matrix,
+    or with one not shaped [media, text spans], is quarantined: its report
+    entry records the reason and it is left out of the output."""
     out_docs: list[Document] = []
     report: dict[str, dict] = {}
     for doc in docs_in:
@@ -186,6 +237,12 @@ def prep_shard(docs_in: list[Document], sims: dict[str, list[list[float]]],
                                             reason="no similarity matrix").to_dict()
             continue
         scores = np.asarray(raw, dtype=np.float64)
+        expected = (len(doc.media), len(doc.text_spans()))
+        if scores.shape != expected:
+            report[doc.doc_id] = PrepRecord(
+                dropped=True, reason=f"similarity matrix shape {scores.shape}, "
+                                     f"expected {expected} (media, text spans)").to_dict()
+            continue
         assignment = match(perturb(scores, rng, sigma, clamp))
         new_doc, rec = filter_and_replace(doc, scores, assignment, captioner,
                                           replace_below, min_image_px, mode)

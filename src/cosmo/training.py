@@ -194,9 +194,13 @@ class DataSource:
         tokens, media_slice, text_slice = self._serialized[i]
         feats = [m.features for m in self.docs[i].media]
         if self.spec.data_type in PAIRED_TYPES:
+            span = text_slice[0] if text_slice else None
+            if span is not None and span[0] == span[1]:
+                # the caption tokenized to nothing: there is no text to embed,
+                # so the sample keeps its LM loss and sits out the contrastive one
+                span = None
             return Sample(tokens, feats, list(media_slice),
-                          loss_mask(tokens, media_slice, 0),
-                          text_span=text_slice[0] if text_slice else None)
+                          loss_mask(tokens, media_slice, 0), text_span=span)
         w = sample_window(tokens, media_slice, self.window_len, rng)
         if len(w.token_ids) < 2 or w.loss_mask[1:].sum() == 0:
             return None

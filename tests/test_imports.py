@@ -1,6 +1,6 @@
-"""Importing the package's modules leaves scipy unloaded: only
-``interleave.match`` needs it, and imports it when called. Training and
-decoding never call it, so they run without scipy's resident memory."""
+"""The package needs numpy alone: with scipy made unimportable, every
+module imports and the noisy-matching shard driver, the one place that
+solves an assignment, still runs."""
 
 import os
 import subprocess
@@ -8,15 +8,34 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+CODE = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import importlib, pkgutil
+import numpy as np
+import cosmo
+for module in pkgutil.iter_modules(cosmo.__path__):
+    importlib.import_module("cosmo." + module.name)
+from cosmo.docs import Document, MediaItem, MediaRef, TextSpan
 
-def test_importing_cosmo_does_not_load_scipy():
-    code = ("import sys\n"
-            "import cosmo.model, cosmo.training, cosmo.synthetic, cosmo.select, "
-            "cosmo.interlink, cosmo.interleave\n"
-            "print(sorted(k for k in sys.modules if k.startswith('scipy')))\n")
+class Captioner:
+    def generate(self, media):
+        return "a generated caption"
+
+media = [MediaItem("image", np.zeros((1, 2, 4))) for _ in range(2)]
+doc = Document(segments=[MediaRef(0), TextSpan("a cat"), MediaRef(1), TextSpan("a dog")],
+               media=media, doc_id="d0")
+out, report = cosmo.interleave.prep_shard(
+    [doc], {"d0": [[0.1, 0.15], [0.9, 0.1]]}, Captioner(), np.random.default_rng(0))
+print(report["d0"]["assignment"], [s.text for s in out[0].text_spans()])
+"""
+
+
+def test_cosmo_runs_without_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", CODE], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    # image 0's best text scores below the threshold, so it is re-captioned
+    assert out.strip() == "[[0, 1], [1, 0]] ['a cat', 'a generated caption']"

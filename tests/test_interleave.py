@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosmo import interleave as il
 from cosmo.docs import Document, MediaItem, MediaRef, TextSpan
@@ -36,7 +37,7 @@ def test_perturb_sigma_zero_limit():
     out = il.perturb(scores, rng, sigma=1e-12)
     np.testing.assert_allclose(out, scores, atol=1e-9)
     with pytest.raises(ValueError):
-        il.draw_noise(rng, (2, 2), sigma=0.0)
+        il.perturb(scores, rng, sigma=0.0)
 
 
 def test_perturb_leaves_input_untouched():
@@ -48,7 +49,7 @@ def test_perturb_leaves_input_untouched():
 
 def test_noise_clamped_and_std():
     rng = np.random.default_rng(1)
-    noise = il.draw_noise(rng, (1_000_000,))
+    noise = il.perturb(np.zeros((1_000_000,)), rng)
     assert noise.min() >= -0.08
     assert noise.max() <= 0.08
     # pre-clamp std: draw unclamped normals through the same generator path
@@ -103,6 +104,31 @@ def test_match_rectangular():
         pairs = il.match(scores)
         assert len(pairs) == 2
         assert abs(total(scores, pairs) - brute_force_best(scores.T)) < 1e-9
+
+
+@st.composite
+def score_matrices(draw):
+    """Wide and tall matrices up to 6×6; integer-valued ones have ties."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        values = st.integers(-3, 3).map(float)
+    else:
+        values = st.floats(-1e3, 1e3, allow_nan=False)
+    return np.array(draw(st.lists(values, min_size=n * m, max_size=n * m))
+                    ).reshape(n, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_matrices())
+def test_match_property_against_brute_force(scores):
+    pairs = il.match(scores)
+    n = min(scores.shape)
+    assert len(pairs) == n
+    assert [i for i, _ in pairs] == sorted({i for i, _ in pairs})
+    assert len({t for _, t in pairs}) == n
+    best = brute_force_best(scores if scores.shape[0] <= scores.shape[1] else scores.T)
+    assert abs(total(scores, pairs) - best) <= 1e-9 * max(1.0, abs(best))
+    assert il.match(scores) == pairs
 
 
 def test_match_rejects_non_finite():
@@ -184,6 +210,14 @@ def test_small_images_filtered_and_empty_doc_dropped():
     assert "no media left" in rec.reason
 
 
+def test_text_index_out_of_range_rejected():
+    doc = pair_doc()
+    scores = np.full((3, 4), 0.5)
+    with pytest.raises(ValueError, match="text index 3"):
+        il.filter_and_replace(doc, scores, [(0, 3), (1, 1), (2, 2)],
+                              EchoCaptioner())
+
+
 def test_captioner_failure_quarantines():
     doc = pair_doc()
     scores = np.eye(3) * 0.1  # everything below threshold
@@ -242,3 +276,25 @@ def test_prep_shard_missing_sims():
     out, report = il.prep_shard(docs_in, {}, EchoCaptioner(), rng)
     assert out == []
     assert report["d0"]["dropped"] is True
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3, 2)],
+                         ids=["extra_text", "extra_image", "missing_text"])
+def test_prep_shard_quarantines_misshapen_sims(shape):
+    # the out-of-range row or column scores best, so a solver that used it
+    # would pair an image with a text that does not exist, or the reverse
+    scores = np.full(shape, 0.05)
+    np.fill_diagonal(scores, 0.5)
+    scores[:, -1] = scores[-1, :] = 0.9
+    docs_in = [pair_doc(), pair_doc()]
+    docs_in[1].doc_id = "d1"
+    sims = {"d0": scores.tolist(), "d1": (np.eye(3) * 0.5).tolist()}
+    out, report = il.prep_shard(docs_in, sims, EchoCaptioner(),
+                                np.random.default_rng(0))
+    assert report["d0"]["dropped"] is True
+    assert report["d0"]["reason"] == (f"similarity matrix shape {shape}, "
+                                      f"expected (3, 3) (media, text spans)")
+    assert report["d0"]["assignment"] == []
+    # the rest of the shard goes on
+    assert [d.doc_id for d in out] == ["d1"]
+    assert report["d1"]["dropped"] is False

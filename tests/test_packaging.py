@@ -43,6 +43,10 @@ def test_dependencies_declared_and_used():
     assert imported_third_party(PACKAGE) == declared()
 
 
+def test_runtime_dependency_is_numpy_alone():
+    assert declared() == {"numpy"}
+
+
 def test_test_imports_declared():
     # perfbench is the repository's benchmark package, importable from the
     # checkout; only the tests may use it, so only their scan drops it.

@@ -299,6 +299,28 @@ def test_paired_type_gets_contrastive(tiny_setup):
     assert all(math.isfinite(r["grad_norm"]) and r["grad_norm"] > 0 for r in rows)
 
 
+@pytest.mark.parametrize("caption", ["", "   "])
+def test_empty_caption_sits_out_contrastive(tiny_setup, caption):
+    # a pair whose caption tokenizes to nothing keeps its LM loss, and the
+    # contrastive loss runs over the other pairs of the batch
+    vocab, specs, model, tmp = tiny_setup
+    rng = np.random.default_rng(2)
+    docs = [Document(segments=[MediaRef(0), TextSpan(text)],
+                     media=[MediaItem("image", rng.normal(size=(1, 2, 8)))],
+                     doc_id=f"d{i}")
+            for i, text in enumerate(["red widget", caption, "blue gizmo"])]
+    path = str(tmp / "c.jsonl")
+    write_shard(docs, path)
+    source = DataSource(SourceSpec("c", "image_text", 1.0, [path]), vocab,
+                        batch_size=3, window_len=16)
+    source.reset_epoch(np.random.default_rng(0))
+    batch = source.next_batch(np.random.default_rng(0))
+    rows = tr.train_step(model, [(source.spec, batch)], tr.init_state(model, seed=0),
+                         cfg(max_steps=3))
+    assert sum(s.text_span is None for s in batch) == 1
+    assert math.isfinite(rows[0]["lm_loss"]) and math.isfinite(rows[0]["c_loss"])
+
+
 def test_source_weight_scales_gradient(tiny_setup):
     vocab, specs, model0, tmp = tiny_setup
     config = cfg(grad_clip=0.0, max_steps=3)

@@ -219,29 +219,43 @@ def doc_stats(items: list[tuple[Document, np.ndarray, list[tuple[int, int]]]]
 # shard-level driver
 
 
+def _unmatchable(doc: Document, raw) -> tuple[str | None, np.ndarray | None]:
+    """(why ``doc`` cannot be matched against ``raw``, None) or (None, its
+    similarity matrix)."""
+    expected = (len(doc.media), len(doc.text_spans()))
+    if raw is None:
+        return "no similarity matrix", None
+    if 0 in expected:
+        return f"nothing to match: {expected[0]} media, {expected[1]} text spans", None
+    try:
+        scores = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+        return "similarity matrix is not a rectangular array of numbers", None
+    if scores.shape != expected:
+        return (f"similarity matrix shape {scores.shape}, expected {expected} "
+                f"(media, text spans)"), None
+    if not np.isfinite(scores).all():
+        return "similarity matrix has non-finite entries", None
+    return None, scores
+
+
 def prep_shard(docs_in: list[Document], sims: dict[str, list[list[float]]],
                captioner, rng: np.random.Generator,
                sigma: float = DEFAULT_SIGMA, clamp: float = DEFAULT_CLAMP,
                replace_below: float = DEFAULT_REPLACE_BELOW,
                min_image_px: int | None = None,
                mode: str = "replace") -> tuple[list[Document], dict[str, dict]]:
-    """Noisy-match and repair each document. One with no similarity matrix,
-    or with one not shaped [media, text spans], is quarantined: its report
-    entry records the reason and it is left out of the output."""
+    """Noisy-match and repair each document. One that cannot be matched is
+    quarantined: its report entry records the reason and it is left out of
+    the output. That is a document with no media or no text spans, or one
+    whose similarity matrix is missing, is not a rectangular array of
+    finite numbers, or is not shaped [media, text spans]."""
     out_docs: list[Document] = []
     report: dict[str, dict] = {}
     for doc in docs_in:
-        raw = sims.get(doc.doc_id)
-        if raw is None:
-            report[doc.doc_id] = PrepRecord(dropped=True,
-                                            reason="no similarity matrix").to_dict()
-            continue
-        scores = np.asarray(raw, dtype=np.float64)
-        expected = (len(doc.media), len(doc.text_spans()))
-        if scores.shape != expected:
-            report[doc.doc_id] = PrepRecord(
-                dropped=True, reason=f"similarity matrix shape {scores.shape}, "
-                                     f"expected {expected} (media, text spans)").to_dict()
+        reason, scores = _unmatchable(doc, sims.get(doc.doc_id))
+        if reason is not None:
+            report[doc.doc_id] = PrepRecord(dropped=True, reason=reason).to_dict()
             continue
         assignment = match(perturb(scores, rng, sigma, clamp))
         new_doc, rec = filter_and_replace(doc, scores, assignment, captioner,

@@ -11,10 +11,12 @@ the residual stream by ``compress_ratio``, cross-attends to the visual
 tokens, up-projects back, and is scaled by ``tanh(gate)`` with the gate
 starting at zero, so a freshly built model is exactly the frozen base LM.
 
-Every attention site (the decoder blocks, the fusion layers, the resampler
-and the contrastive pooling) is one ``ad.attention`` node and every affine
-layer norm one ``ad.layer_norm`` node. Media items of one feature shape are
-vision-encoded and resampled as one batch.
+Each decoder block is one ``ad.decoder_block`` node and each fusion layer one
+``ad.gated_cross_attention`` node. The resampler and the contrastive pooling
+are one ``ad.attention`` node each, and every other affine layer norm one
+``ad.layer_norm`` node. Media items of one feature shape are vision-encoded
+and resampled as one batch. The decode cache holds plain arrays: each
+block's keys and values and each fusion layer's visual keys and values.
 """
 
 from __future__ import annotations
@@ -172,54 +174,29 @@ def count_params(model: Model) -> tuple[int, int]:
 # forward pieces
 
 
-def _ln(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-    return ad.layer_norm(x, axis=-1, gain=g, bias=b)
+_BLOCK_WEIGHTS = ("ln1_g", "ln1_b", "wq", "wk", "wv", "wo", "ln2_g", "ln2_b",
+                  "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2")
+_FUSION_WEIGHTS = ("ln_g", "ln_b", "down", "wq", "wk", "wv", "up", "gate")
 
 
-def _heads(x: Tensor, n_heads: int) -> Tensor:
-    """[B, s, d] -> [B, heads, s, d / heads]."""
-    b, s, d = x.shape
-    return ad.transpose(ad.reshape(x, (b, s, n_heads, d // n_heads)), (0, 2, 1, 3))
+def _causal(s: int, start: int) -> np.ndarray:
+    """[s, start + s]: the keys each of ``s`` positions at ``start..`` may not
+    attend to, the later ones."""
+    return np.triu(np.ones((s, start + s), dtype=bool), k=1 + start)
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    """[B, heads, s, dh] -> [B, s, heads * dh]."""
-    b, h, s, dh = x.shape
-    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, s, h * dh))
-
-
-def _self_attention(model: Model, prefix: str, x: Tensor,
-                    cache: dict | None = None, start: int = 0) -> Tensor:
-    """Causal self-attention of a batch ``x`` [B, s, d] at positions
-    ``start..``. With a cache, the keys and values of earlier positions are
+def _block(model: Model, i: int, x: Tensor, causal: np.ndarray,
+           cache: dict | None = None) -> Tensor:
+    """Decoder block ``i`` over a batch ``x`` [B, s, d] under the mask
+    ``causal``. With a cache, the keys and values of earlier positions are
     read from it and this call's are appended."""
-    c = model.config
-    s = x.shape[-2]
-    dh = c.d_model // c.n_heads
-    q = _heads(ad.matmul(x, model.param(prefix + "wq")), c.n_heads)
-    k = _heads(ad.matmul(x, model.param(prefix + "wk")), c.n_heads)
-    v = _heads(ad.matmul(x, model.param(prefix + "wv")), c.n_heads)
-    if cache is not None:
-        if prefix in cache:
-            k_past, v_past = cache[prefix]
-            k, v = ad.concat([k_past, k], axis=-2), ad.concat([v_past, v], axis=-2)
-        cache[prefix] = (k, v)
-    causal = np.triu(np.ones((s, k.shape[-2]), dtype=bool), k=1 + start)
-    out = _merge_heads(ad.attention(q, k, v, 1.0 / math.sqrt(dh), hidden=causal))
-    return ad.matmul(out, model.param(prefix + "wo"))
-
-
-def _block(model: Model, i: int, x: Tensor, cache: dict | None = None,
-           start: int = 0) -> Tensor:
     p = f"frozen/block{i}/"
-    h = ad.add(x, _self_attention(model, p, _ln(x, model.param(p + "ln1_g"),
-                                                model.param(p + "ln1_b")),
-                                  cache, start))
-    z = _ln(h, model.param(p + "ln2_g"), model.param(p + "ln2_b"))
-    z = ad.add(ad.matmul(z, model.param(p + "mlp_w1")), model.param(p + "mlp_b1"))
-    z = ad.add(ad.matmul(ad.gelu(z), model.param(p + "mlp_w2")),
-               model.param(p + "mlp_b2"))
-    return ad.add(h, z)
+    out, k, v = ad.decoder_block(x, *(model.param(p + w) for w in _BLOCK_WEIGHTS),
+                                 n_heads=model.config.n_heads, hidden=causal,
+                                 past=None if cache is None else cache.get(p))
+    if cache is not None:
+        cache[p] = (k, v)
+    return out
 
 
 def encode_text_unimodal(model: Model, token_ids, cache: dict | None = None,
@@ -227,8 +204,8 @@ def encode_text_unimodal(model: Model, token_ids, cache: dict | None = None,
     """First-half (unimodal) hidden states [B, seq, d_model] of a [B, seq]
     batch of token ids, causal throughout.
 
-    The ids sit at positions ``start..``; the tokens before them are seen
-    through ``cache`` (see ``greedy_decode_batch``).
+    The ids sit at positions ``start..``; the ``start`` tokens before them
+    are seen through ``cache`` (see ``greedy_decode_batch``).
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -243,8 +220,9 @@ def encode_text_unimodal(model: Model, token_ids, cache: dict | None = None,
                          f"{model.config.max_seq}")
     h = ad.add(ad.embedding_lookup(model.param("frozen/tok_embed"), ids),
                model.param("frozen/pos_embed")[start:end, :])
+    causal = _causal(ids.shape[1], start)
     for i in range(model.config.split_index):
-        h = _block(model, i, h, cache, start)
+        h = _block(model, i, h, causal, cache)
     return h
 
 
@@ -310,31 +288,21 @@ def encode_media(model: Model, media_features: list[np.ndarray]) -> Tensor | Non
 
 
 def _fusion(model: Model, pos: int, x: Tensor, vtok_flat: Tensor,
-            visible: np.ndarray, cache: dict | None = None) -> Tensor:
+            hidden: np.ndarray, cache: dict | None = None) -> Tensor:
     """Gated bottlenecked cross-attention from text ``x`` [B, s, d] to the
     visual tokens ``vtok_flat`` [B, m, d].
 
-    ``visible`` [B, s, m] marks which visual tokens each text position may
+    ``hidden`` [B, s, m] marks the visual tokens each text position may not
     attend to (media-causal). Rows that see nothing pass through. With a
     cache, the visual keys and values are computed once and then read back.
     """
     p = f"fusion{pos}/"
-    xh = _ln(x, model.param(p + "ln_g"), model.param(p + "ln_b"))
-    xb = ad.matmul(xh, model.param(p + "down"))
-    q = ad.matmul(xb, model.param(p + "wq"))
-    if cache is not None and p in cache:
-        k, v = cache[p]
-    else:
-        k = ad.matmul(vtok_flat, model.param(p + "wk"))
-        v = ad.matmul(vtok_flat, model.param(p + "wv"))
-        if cache is not None:
-            cache[p] = (k, v)
-    attended = ad.attention(q, k, v, 1.0 / math.sqrt(q.shape[-1]), hidden=~visible)
-    z = ad.matmul(attended, model.param(p + "up"))
-    row_has_media = visible.any(axis=-1, keepdims=True).astype(np.float64)
-    z = ad.mul(z, Tensor(row_has_media))
-    gate = ad.tanh(model.param(p + "gate"))
-    return ad.add(x, ad.mul(z, gate))
+    kv = None if cache is None else cache.get(p)
+    out, kv = ad.gated_cross_attention(
+        x, *(model.param(p + w) for w in _FUSION_WEIGHTS), vtok_flat, hidden, kv)
+    if cache is not None:
+        cache[p] = kv
+    return out
 
 
 def _media_visibility(media_positions: list[tuple[int, int]], n_media: int,
@@ -367,16 +335,18 @@ def fuse_and_decode(model: Model, text_hidden: Tensor, visual: Tensor | None,
     if visual is not None:
         b, n_media, n_lat, d = visual.shape
         end = start + text_hidden.shape[1]
-        visible = np.stack([_media_visibility(r, n_media, n_lat, start, end)
+        hidden = ~np.stack([_media_visibility(r, n_media, n_lat, start, end)
                             for r in media_positions])
         vtok_flat = ad.reshape(visual, (b, n_media * n_lat, d))
     h = text_hidden
+    causal = _causal(h.shape[1], start)
     fusion_at = set(c.fusion_positions())
     for i in range(c.split_index, c.n_layers_total):
         if i in fusion_at and visual is not None:
-            h = _fusion(model, i, h, vtok_flat, visible, cache)
-        h = _block(model, i, h, cache, start)
-    h = _ln(h, model.param("frozen/final_ln_g"), model.param("frozen/final_ln_b"))
+            h = _fusion(model, i, h, vtok_flat, hidden, cache)
+        h = _block(model, i, h, causal, cache)
+    h = ad.layer_norm(h, gain=model.param("frozen/final_ln_g"),
+                      bias=model.param("frozen/final_ln_b"))
     return ad.matmul(h, model.param("frozen/unembed"))
 
 

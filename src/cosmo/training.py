@@ -367,7 +367,11 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
 
     Returns one metrics row per source batch: its losses, the learning rate,
     the guard's verdict, and the step's global gradient norm before clipping
-    (``grad_norm``, None when the cycle was skipped).
+    (``grad_norm``, None when the cycle was skipped). Every row also carries
+    the model as the step found it, before the update: ``gates``, tanh(gate)
+    of each fusion layer in ``fusion_positions`` order, which shows how much
+    visual signal the decoder lets in, and ``logit_scale``, the contrastive
+    head's clamped 1/temperature.
 
     ``loss_hook(step, source_name, kind, loss_tensor) -> loss_tensor`` is a
     fault-injection point used by the stability tests.
@@ -375,12 +379,16 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
     ad.zero_grads(model.learnable_params)
     metrics: list[dict] = []
     lr = lr_at(state.step, config)
+    gates = [float(np.tanh(model.param(f"fusion{pos}/gate").data[0]))
+             for pos in model.config.fusion_positions()]
+    scale = float(cm.logit_scale(model).data[0])
     any_accepted = False
     for spec, batch in cycle:
         if not batch:
             continue
         row = {"step": state.step, "type": spec.name, "lm_loss": None,
-               "c_loss": None, "lr": lr, "guard_event": None, "grad_norm": None}
+               "c_loss": None, "lr": lr, "guard_event": None, "grad_norm": None,
+               "gates": list(gates), "logit_scale": scale}
         with Tape() as tape:
             parts = []
             events = []

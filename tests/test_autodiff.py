@@ -446,7 +446,8 @@ def test_affine_layer_norm_equals_unfused_and_gradients(shape, seed):
         np.testing.assert_allclose(a, c, rtol=1e-12, atol=1e-12)
     # a row of nearly equal values has a std near sqrt(eps), where central
     # differences are coarse for the fused and unfused forms alike: spread it
-    x.data += np.arange(shape[-1])
+    # (sorted, then stepped by 1, so no two entries of a row come closer than 1)
+    x.data = np.sort(x.data, axis=-1) + np.arange(shape[-1])
     for kw, params in (({"gain": g, "bias": b}, [x, g, b]), ({"gain": g}, [x, g]),
                        ({"bias": b}, [x, b])):
         assert ad.grad_check(lambda: loss(**kw), params) < 1e-6
@@ -459,3 +460,284 @@ def test_gelu_matches_the_pow_formula(shape, seed, spread):
     x = spread * np.random.default_rng(seed).normal(size=shape)
     want = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
     assert np.abs(ad.gelu(Tensor(x)).data - want).max() <= 1e-12
+
+
+# -- layer norm and GELU over N-D shapes --------------------------------------
+
+def spread_along(x, axis):
+    """Sorted along ``axis`` and stepped by 1, so no two entries of a row come
+    closer than 1: a row of nearly equal values has a std near sqrt(eps),
+    where central differences are coarse."""
+    steps = np.arange(x.shape[axis]).reshape((-1,) + (1,) * (x.ndim - 1 - axis % x.ndim))
+    return np.sort(x, axis=axis) + steps
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(dims, min_size=1, max_size=4).map(tuple), seeds)
+def test_layer_norm_nd_matches_mean_and_var_and_differences(shape, seed):
+    rng = np.random.default_rng(seed)
+    axis = int(rng.integers(-len(shape), len(shape)))
+    x = Tensor(3.0 * rng.normal(size=shape), requires_grad=True)
+    mu = np.mean(x.data, axis=axis, keepdims=True)
+    want = (x.data - mu) / np.sqrt(np.var(x.data, axis=axis, keepdims=True) + 1e-5)
+    assert np.abs(ad.layer_norm(x, axis=axis).data - want).max() <= 1e-12
+    # gain and bias along the normalized axis, broadcast over the others
+    along = tuple(shape[i] if i == axis % len(shape) else 1
+                  for i in range(axis % len(shape), len(shape)))
+    g, b = leaf(rng, along), leaf(rng, along)
+    x.data = spread_along(x.data, axis)
+    w = rng.normal(size=shape)
+    for kw, params in (({}, [x]), ({"gain": g}, [x, g]), ({"bias": b}, [x, b]),
+                       ({"gain": g, "bias": b}, [x, g, b])):
+        f = lambda: ad.sum_(ad.mul(ad.layer_norm(x, axis=axis, **kw), Tensor(w)))  # noqa: E731
+        assert ad.grad_check(f, params) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(dims, min_size=1, max_size=4).map(tuple), seeds,
+       st.sampled_from([1.0, 3.0, 30.0]))
+def test_gelu_nd_gradients_match_differences(shape, seed, spread):
+    rng = np.random.default_rng(seed)
+    x = Tensor(spread * rng.normal(size=shape), requires_grad=True)
+    w = rng.normal(size=shape)
+    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.gelu(x), Tensor(w))), [x]) < 1e-6
+
+
+# -- layer kernels against the op chains they replace -------------------------
+
+def unfused_block(x, ws, n_heads, hidden=None, past=None):
+    """The op chain ``ad.decoder_block`` replaces; ``past`` keys and values
+    enter as constants. Returns the output and the keys and values."""
+    ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b, w1, b1, w2, b2 = ws
+    b, s, d = x.shape
+
+    def heads(t):
+        return ad.transpose(ad.reshape(t, (b, s, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+    z = ad.layer_norm(x, gain=ln1_g, bias=ln1_b)
+    q, k, v = (heads(ad.matmul(z, w)) for w in (wq, wk, wv))
+    if past is not None:
+        k = ad.concat([Tensor(past[0]), k], axis=-2)
+        v = ad.concat([Tensor(past[1]), v], axis=-2)
+    att = ad.attention(q, k, v, 1.0 / math.sqrt(d // n_heads), hidden=hidden)
+    merged = ad.reshape(ad.transpose(att, (0, 2, 1, 3)), (b, s, d))
+    h = ad.add(x, ad.matmul(merged, wo))
+    z = ad.layer_norm(h, gain=ln2_g, bias=ln2_b)
+    z = ad.add(ad.matmul(z, w1), b1)
+    z = ad.add(ad.matmul(ad.gelu(z), w2), b2)
+    return ad.add(h, z), k.data, v.data
+
+
+def unfused_cross(x, ws, visual, hidden, kv=None):
+    """The op chain ``ad.gated_cross_attention`` replaces."""
+    ln_g, ln_b, down, wq, wk, wv, up, gate = ws
+    q = ad.matmul(ad.matmul(ad.layer_norm(x, gain=ln_g, bias=ln_b), down), wq)
+    if kv is None:
+        k, v = ad.matmul(visual, wk), ad.matmul(visual, wv)
+    else:
+        k, v = Tensor(kv[0]), Tensor(kv[1])
+    att = ad.attention(q, k, v, 1.0 / math.sqrt(q.shape[-1]), hidden=hidden)
+    row = (~hidden).any(axis=-1, keepdims=True).astype(np.float64)
+    z = ad.mul(ad.matmul(att, up), Tensor(row))
+    return ad.add(x, ad.mul(z, ad.tanh(gate))), (k.data, v.data)
+
+
+def block_weights(rng, d, want):
+    """Layer-norm gains near 1 and biases near 0, projections at 1/sqrt(fan-in);
+    ``want[i]`` says whether weight ``i`` requires a gradient."""
+    shapes = [(d,), (d,), (d, d), (d, d), (d, d), (d, d), (d,), (d,),
+              (d, 4 * d), (4 * d,), (4 * d, d), (d,)]
+    ws = []
+    for shape, w in zip(shapes, want):
+        scale = 1.0 / math.sqrt(shape[0]) if len(shape) == 2 else 0.3
+        base = 1.0 if shape == (d,) and len(ws) in (0, 6) else 0.0
+        ws.append(Tensor(base + scale * rng.normal(size=shape), requires_grad=w))
+    return ws
+
+
+def cross_weights(rng, d, db, want):
+    shapes = [(d,), (d,), (d, db), (db, db), (d, db), (d, db), (db, d), (1,)]
+    ws = []
+    for i, (shape, w) in enumerate(zip(shapes, want)):
+        scale = 1.0 / math.sqrt(shape[0]) if len(shape) == 2 else 0.3
+        ws.append(Tensor((1.0 if i == 0 else 0.0) + scale * rng.normal(size=shape),
+                         requires_grad=w))
+    return ws
+
+
+def grads_of(f, inputs, w):
+    """Gradients of sum(f() * w) on ``inputs`` (None where not required)."""
+    ad.zero_grads(inputs)
+    with Tape() as tape:
+        ad.backward(ad.sum_(ad.mul(f(), Tensor(w))), tape)
+    return [None if t.grad is None else t.grad.copy() for t in inputs]
+
+
+def assert_same_grads(got, want):
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert (a is None) == (b is None), i
+        if a is not None:
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), i
+
+
+@st.composite
+def block_cases(draw):
+    """Batch, new rows, heads, head width, past rows, the mask kind, which
+    inputs require a gradient, and a seed."""
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)), draw(st.integers(0, 3)),
+            draw(st.sampled_from(["causal", "random", "none"])),
+            draw(st.lists(st.booleans(), min_size=13, max_size=13)), draw(seeds))
+
+
+def block_inputs(case):
+    b, s, n_heads, dh, n_past, mask, want, seed = case
+    rng = np.random.default_rng(seed)
+    d = n_heads * dh
+    x = Tensor(rng.normal(size=(b, s, d)), requires_grad=want[0])
+    ws = block_weights(rng, d, want[1:])
+    past = None if not n_past else tuple(rng.normal(size=(b, n_heads, n_past, dh))
+                                         for _ in range(2))
+    hidden = {"causal": np.triu(np.ones((s, n_past + s), dtype=bool), k=1 + n_past),
+              # per row and head, some rows hidden throughout
+              "random": rng.random((b, n_heads, s, n_past + s)) < 0.5,
+              "none": None}[mask]
+    return rng, x, ws, n_heads, hidden, past
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_cases())
+def test_decoder_block_equals_unfused_chain(case):
+    rng, x, ws, n_heads, hidden, past = block_inputs(case)
+    out, k, v = ad.decoder_block(x, *ws, n_heads=n_heads, hidden=hidden, past=past)
+    want, want_k, want_v = unfused_block(x, ws, n_heads, hidden, past)
+    assert np.array_equal(out.data, want.data)
+    assert np.array_equal(k, want_k) and np.array_equal(v, want_v)
+    # gradients only where required, and equal to the chain's
+    inputs = [x] + ws
+    if not any(t.requires_grad for t in inputs):
+        return
+    w = rng.normal(size=out.shape)
+    got = grads_of(lambda: ad.decoder_block(x, *ws, n_heads=n_heads, hidden=hidden,
+                                            past=past)[0], inputs, w)
+    assert_same_grads(got, grads_of(lambda: unfused_block(x, ws, n_heads, hidden,
+                                                          past)[0], inputs, w))
+    assert all((g is None) == (not t.requires_grad) for g, t in zip(got, inputs))
+
+
+@st.composite
+def cross_cases(draw):
+    """Batch, text rows, visual tokens, width, compression, whether the keys
+    and values come cached, which inputs require a gradient, and a seed."""
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+            draw(st.sampled_from([2, 4])), draw(st.sampled_from([1, 2])),
+            draw(st.booleans()), draw(st.lists(st.booleans(), min_size=10, max_size=10)),
+            draw(seeds))
+
+
+def cross_inputs(case):
+    b, s, m, d, ratio, _, want, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(b, s, d)), requires_grad=want[0])
+    ws = cross_weights(rng, d, d // ratio, want[1:9])
+    visual = Tensor(rng.normal(size=(b, m, d)), requires_grad=want[9])
+    hidden = rng.random((b, s, m)) < 0.5
+    hidden[:, 0] = True  # a row that sees no visual token passes through
+    return rng, x, ws, visual, hidden
+
+
+@settings(max_examples=40, deadline=None)
+@given(cross_cases())
+def test_gated_cross_attention_equals_unfused_chain(case):
+    rng, x, ws, visual, hidden = cross_inputs(case)
+    cached = case[5]
+    kv = None
+    if cached:
+        uncached, kv = ad.gated_cross_attention(x, *ws, visual, hidden)
+    out, (k, v) = ad.gated_cross_attention(x, *ws, visual, hidden, kv)
+    if cached:
+        assert np.array_equal(out.data, uncached.data)
+    want, (want_k, want_v) = unfused_cross(x, ws, visual, hidden, kv)
+    assert np.array_equal(out.data, want.data)
+    assert np.array_equal(k, want_k) and np.array_equal(v, want_v)
+    assert np.array_equal(out.data[:, 0], x.data[:, 0])
+    inputs = [x] + ws + [visual]
+    if not any(t.requires_grad for t in inputs):
+        return
+    w = rng.normal(size=out.shape)
+    got = grads_of(lambda: ad.gated_cross_attention(x, *ws, visual, hidden, kv)[0],
+                   inputs, w)
+    assert_same_grads(got, grads_of(lambda: unfused_cross(x, ws, visual, hidden, kv)[0],
+                                    inputs, w))
+    # cached keys and values are constants: no gradient reaches visual, wk or wv
+    if cached:
+        assert got[5] is None and got[6] is None and got[9] is None
+
+
+@pytest.mark.parametrize("hide_row", [False, True], ids=["causal", "row_hidden"])
+def test_decoder_block_gradients_match_differences(hide_row):
+    rng = np.random.default_rng(0)
+    b, s, n_heads, dh, n_past = 2, 3, 2, 2, 2
+    d = n_heads * dh
+    x = Tensor(rng.normal(size=(b, s, d)), requires_grad=True)
+    ws = block_weights(rng, d, [True] * 12)
+    past = tuple(rng.normal(size=(b, n_heads, n_past, dh)) for _ in range(2))
+    hidden = np.triu(np.ones((s, n_past + s), dtype=bool), k=1 + n_past)
+    if hide_row:  # a row hidden throughout attends uniformly, as a constant
+        hidden[1] = True
+    w = rng.normal(size=(b, s, d))
+    f = lambda: ad.sum_(ad.mul(ad.decoder_block(  # noqa: E731
+        x, *ws, n_heads=n_heads, hidden=hidden, past=past)[0], Tensor(w)))
+    assert ad.grad_check(f, [x] + ws) <= 1e-6
+
+
+def test_gated_cross_attention_gradients_match_differences():
+    rng = np.random.default_rng(1)
+    b, s, m, d = 2, 3, 4, 4
+    x = Tensor(rng.normal(size=(b, s, d)), requires_grad=True)
+    ws = cross_weights(rng, d, d // 2, [True] * 8)
+    visual = Tensor(rng.normal(size=(b, m, d)), requires_grad=True)
+    hidden = rng.random((b, s, m)) < 0.4
+    hidden[0, 0] = True
+    w = rng.normal(size=(b, s, d))
+    f = lambda: ad.sum_(ad.mul(ad.gated_cross_attention(  # noqa: E731
+        x, *ws, visual, hidden)[0], Tensor(w)))
+    assert ad.grad_check(f, [x] + ws + [visual]) <= 1e-6
+
+
+@pytest.mark.parametrize("n_past", [1, 3])
+def test_cached_block_call_equals_uncached_on_new_rows(n_past):
+    rng = np.random.default_rng(n_past)
+    b, s, n_heads, dh = 2, 5, 2, 3
+    x = Tensor(rng.normal(size=(b, s, n_heads * dh)))
+    ws = block_weights(rng, n_heads * dh, [False] * 12)
+
+    def causal(rows, before):
+        return np.triu(np.ones((rows, before + rows), dtype=bool), k=1 + before)
+
+    full, k, v = ad.decoder_block(x, *ws, n_heads=n_heads, hidden=causal(s, 0))
+    _, past_k, past_v = ad.decoder_block(x[:, :n_past], *ws, n_heads=n_heads,
+                                         hidden=causal(n_past, 0))
+    new, k2, v2 = ad.decoder_block(x[:, n_past:], *ws, n_heads=n_heads,
+                                   hidden=causal(s - n_past, n_past),
+                                   past=(past_k, past_v))
+    scale = np.abs(full.data).max()
+    assert np.abs(new.data - full.data[:, n_past:]).max() <= 1e-12 * scale
+    assert np.abs(k2 - k).max() <= 1e-12 * np.abs(k).max()
+    assert np.abs(v2 - v).max() <= 1e-12 * np.abs(v).max()
+
+
+def test_kernels_reject_nonconforming_shapes():
+    rng = np.random.default_rng(0)
+    ws = block_weights(rng, 4, [False] * 12)
+    with pytest.raises(ad.ShapeError, match="decoder_block"):
+        ad.decoder_block(Tensor(np.ones((2, 4))), *ws, n_heads=2)
+    with pytest.raises(ad.ShapeError, match="decoder_block"):
+        ad.decoder_block(Tensor(np.ones((1, 2, 4))), *ws, n_heads=3)
+    with pytest.raises(ad.ShapeError, match="decoder_block"):
+        ad.decoder_block(Tensor(np.ones((1, 2, 4))), *ws, n_heads=2,
+                         hidden=np.zeros((3, 3), dtype=bool))
+    cws = cross_weights(rng, 4, 2, [False] * 8)
+    with pytest.raises(ad.ShapeError, match="gated_cross_attention"):
+        ad.gated_cross_attention(Tensor(np.ones((1, 2, 4))), *cws,
+                                 Tensor(np.ones((1, 3, 5))), np.zeros((1, 2, 3), bool))

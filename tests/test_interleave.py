@@ -298,3 +298,33 @@ def test_prep_shard_quarantines_misshapen_sims(shape):
     # the rest of the shard goes on
     assert [d.doc_id for d in out] == ["d1"]
     assert report["d1"]["dropped"] is False
+
+
+def media_only_doc():
+    rng = np.random.default_rng(1)
+    media = [MediaItem("image", rng.normal(size=(1, 2, 4)), source_id=f"m{i}")
+             for i in range(2)]
+    return Document(segments=[MediaRef(0), MediaRef(1)], media=media, doc_id="d0")
+
+
+@pytest.mark.parametrize("doc,raw,reason", [
+    (pair_doc(2), [[0.1, 0.2], [0.3]],
+     "similarity matrix is not a rectangular array of numbers"),
+    (pair_doc(2), [[0.1, "high"], [0.3, 0.4]],
+     "similarity matrix is not a rectangular array of numbers"),
+    (pair_doc(2), [[0.1, float("nan")], [0.3, 0.4]],
+     "similarity matrix has non-finite entries"),
+    # its [media, text spans] matrix is [2, 0]: the right shape, and empty
+    (media_only_doc(), [[], []], "nothing to match: 2 media, 0 text spans"),
+], ids=["ragged", "not_a_number", "nan", "media_without_text"])
+def test_prep_shard_quarantines_unmatchable_input(doc, raw, reason):
+    other = pair_doc()
+    other.doc_id = "d1"
+    sims = {"d0": raw, "d1": (np.eye(3) * 0.5).tolist()}
+    out, report = il.prep_shard([doc, other], sims, EchoCaptioner(),
+                                np.random.default_rng(0))
+    assert report["d0"]["dropped"] is True
+    assert report["d0"]["reason"] == reason
+    # the rest of the shard goes on
+    assert [d.doc_id for d in out] == ["d1"]
+    assert report["d1"]["dropped"] is False

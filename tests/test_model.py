@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import sys
@@ -307,6 +308,47 @@ def test_media_causality():
     after = cm.forward_logits(m, ids, feats2, pos).data
     np.testing.assert_array_equal(before[:7], after[:7])
     assert np.abs(before[7:] - after[7:]).max() > 0
+
+
+# -- one autodiff node per layer --------------------------------------------
+
+def test_one_tape_node_per_decoder_block_and_fusion_layer():
+    """Each block after the first fusion layer is one ``decoder_block`` node
+    and each fusion layer one ``gated_cross_attention`` node; the frozen
+    blocks before it need no gradient and record nothing."""
+    m = cm.build(toy_config(n_layers_total=6, split_index=2, cross_interval=2), seed=0)
+    ids, feats, pos = make_inputs(m, np.random.default_rng(0), n_media=2)
+    with Tape() as tape:
+        cm.forward_logits(m, ids, feats, pos)
+    ops = collections.Counter(n.op for n in tape.nodes)
+    assert ops["decoder_block"] == 4  # blocks 2 to 5
+    assert ops["gated_cross_attention"] == 2  # before blocks 2 and 4
+    assert ops["tanh"] == ops["transpose"] == ops["gelu"] == 0
+
+
+def test_decode_cache_holds_arrays(monkeypatch):
+    m, ids, feats, pos = decode_inputs(0, n_media=2)
+    caches = []
+    fuse = cm.fuse_and_decode
+
+    def recording(model, th, visual, positions, cache, start):
+        caches.append(cache)
+        return fuse(model, th, visual, positions, cache, start)
+
+    monkeypatch.setattr(cm, "fuse_and_decode", recording)
+    out = cm.greedy_decode(m, ids, feats, pos, stop_id=-1, max_new=3)
+    c = m.config
+    dh = c.d_model // c.n_heads
+    cache = caches[-1]
+    assert sorted(cache) == sorted([f"frozen/block{i}/" for i in range(c.n_layers_total)]
+                                   + [f"fusion{p}/" for p in c.fusion_positions()])
+    for key, pair in cache.items():
+        assert len(pair) == 2 and all(type(a) is np.ndarray for a in pair), key
+    # every position but the last decoded token's was cached
+    assert cache["frozen/block0/"][0].shape == (1, c.n_heads, len(ids) + len(out) - 1, dh)
+    n_tokens = len(feats) * c.n_latents
+    db = c.d_model // c.compress_ratio
+    assert cache[f"fusion{c.fusion_positions()[0]}/"][1].shape == (1, n_tokens, db)
 
 
 # -- cached greedy decoding -------------------------------------------------

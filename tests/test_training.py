@@ -299,6 +299,50 @@ def test_paired_type_gets_contrastive(tiny_setup):
     assert all(math.isfinite(r["grad_norm"]) and r["grad_norm"] > 0 for r in rows)
 
 
+ROW_KEYS = {"step", "type", "lm_loss", "c_loss", "lr", "guard_event", "grad_norm",
+            "gates", "logit_scale"}
+
+
+def test_metrics_rows_read_gates_and_logit_scale_before_the_update(tiny_setup):
+    """The row schema of the metric stream (no timing in it), and the gates
+    and logit scale read from the model as each step found it."""
+    vocab, specs, model, tmp = tiny_setup
+    config = cfg(max_steps=4, warmup_steps=0)
+    sources = tr.make_sources(specs, vocab, config)
+    state = tr.init_state(model, seed=0)
+    loader = CycleLoader(sources, "min")
+    loader.start_epoch(state.rng)
+    positions = model.config.fusion_positions()
+    for _ in range(3):
+        gates = [float(np.tanh(model.param(f"fusion{p}/gate").data[0]))
+                 for p in positions]
+        scale = float(np.exp(model.param("contrastive/log_scale").data[0]))
+        cycle = loader.next_cycle(state.rng)
+        if cycle is EPOCH_END:
+            loader.start_epoch(state.rng)
+            cycle = loader.next_cycle(state.rng)
+        rows = tr.train_step(model, cycle, state, config)
+        assert rows and all(set(r) == ROW_KEYS for r in rows)
+        for r in rows:
+            assert r["gates"] == gates
+            assert r["logit_scale"] == pytest.approx(scale, rel=1e-15)
+    # the update moved both, so the rows read them before it
+    assert gates != [float(np.tanh(model.param(f"fusion{p}/gate").data[0]))
+                     for p in positions]
+    assert scale != float(np.exp(model.param("contrastive/log_scale").data[0]))
+    # the written stream carries the same schema; a fresh model's gates are 0
+    # and its logit scale 1 / temperature
+    fresh = cm.build(model.config, seed=0)
+    tr.train(fresh, sources, cfg(max_steps=2), str(tmp / "out"), vocab)
+    lines = [json.loads(line) for line in
+             (tmp / "out" / "metrics.ndjson").read_text().splitlines()]
+    assert lines and all(set(r) == ROW_KEYS for r in lines)
+    first = [r for r in lines if r["step"] == 0]
+    assert all(r["gates"] == [0.0] * len(positions) for r in first)
+    assert all(r["logit_scale"] == pytest.approx(1.0 / model.config.temperature)
+               for r in first)
+
+
 @pytest.mark.parametrize("caption", ["", "   "])
 def test_empty_caption_sits_out_contrastive(tiny_setup, caption):
     # a pair whose caption tokenizes to nothing keeps its LM loss, and the

@@ -7,6 +7,7 @@ then one little-endian float64 buffer per named parameter, in manifest order.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -54,18 +55,23 @@ def load_archive(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     (mlen,) = struct.unpack("<Q", raw[:8])
     if 8 + mlen > len(raw):
         raise ArchiveError(f"{path}: truncated manifest")
-    manifest = json.loads(raw[8:8 + mlen].decode("utf-8"))
+    try:
+        manifest = json.loads(raw[8:8 + mlen].decode("utf-8"))
+        specs = [(spec["name"], tuple(spec["shape"]))
+                 for spec in manifest.get("params", [])]
+    except (ValueError, AttributeError, KeyError, TypeError) as e:
+        # not UTF-8 JSON, not an object, or a params entry without name/shape
+        raise ArchiveError(f"{path}: malformed manifest ({e!r})") from None
     arrays: dict[str, np.ndarray] = {}
     offset = 8 + mlen
-    for spec in manifest.get("params", []):
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
-        if end > len(raw):
-            raise ArchiveError(f"{path}: buffer for {spec['name']} truncated")
-        arrays[spec["name"]] = np.frombuffer(
-            raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset = end
+    for name, shape in specs:
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise ArchiveError(f"{path}: bad shape {list(shape)} for {name}")
+        count = math.prod(shape)
+        if offset + 8 * count > len(raw):
+            raise ArchiveError(f"{path}: buffer for {name} truncated")
+        arrays[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape).copy()
+        offset += 8 * count
     if offset != len(raw):
         raise ArchiveError(f"{path}: {len(raw) - offset} trailing bytes")
     return manifest, arrays

@@ -14,9 +14,9 @@ starting at zero, so a freshly built model is exactly the frozen base LM.
 Each decoder block is one ``ad.decoder_block`` node and each fusion layer one
 ``ad.gated_cross_attention`` node. The resampler and the contrastive pooling
 are one ``ad.attention`` node each, and every other affine layer norm one
-``ad.layer_norm`` node. Media items of one feature shape are vision-encoded
-and resampled as one batch. The decode cache holds plain arrays: each
-block's keys and values and each fusion layer's visual keys and values.
+``ad.layer_norm`` node. Rows and media items of unequal size are padded into
+one batch, never split into groups, and masks keep the pads unread. The decode
+cache holds each block's keys and values and each fusion layer's visual ones.
 """
 
 from __future__ import annotations
@@ -201,12 +201,16 @@ def _block(model: Model, i: int, x: Tensor, causal: np.ndarray,
 
 def encode_text_unimodal(model: Model, token_ids, cache: dict | None = None,
                          start: int = 0) -> Tensor:
-    """First-half (unimodal) hidden states [B, seq, d_model] of a [B, seq]
-    batch of token ids, causal throughout.
+    """First-half (unimodal) hidden states [B, seq, d_model] of B rows of
+    token ids, causal throughout. Shorter rows are right-padded with id 0 to
+    the longest; the half is causal, so no real token attends to a pad.
 
     The ids sit at positions ``start..``; the ``start`` tokens before them
     are seen through ``cache`` (see ``greedy_decode_batch``).
     """
+    width = max(map(len, token_ids), default=0)
+    if any(len(r) < width for r in token_ids):
+        token_ids = [list(r) + [0] * (width - len(r)) for r in token_ids]
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 2:
         raise ValueError(f"token ids must be a [B, seq] batch, got shape {ids.shape}")
@@ -245,46 +249,42 @@ def vision_encode(model: Model, features: np.ndarray) -> Tensor:
                   model.param("frozen/vis_b2"))
 
 
-def resample(model: Model, features: Tensor) -> Tensor:
+def resample(model: Model, features: Tensor, hidden: np.ndarray | None = None
+             ) -> Tensor:
     """Map any number of vision feature rows [rows, d_vision] to n_latents
-    tokens [n_latents, d]; a batch [n, rows, d_vision] of equal-size items
-    maps to [n, n_latents, d], all items read by the one set of latents."""
+    tokens [n_latents, d]; a batch [n, rows, d_vision] maps to [n, n_latents,
+    d], all items read by the one set of latents. ``hidden`` [n, 1, rows]
+    marks the padding rows no latent may read."""
     lat = model.param("resampler/latents")
     q = ad.matmul(lat, model.param("resampler/wq"))
     k = ad.matmul(features, model.param("resampler/wk"))
     v = ad.matmul(features, model.param("resampler/wv"))
-    pooled = ad.attention(q, k, v, 1.0 / math.sqrt(model.config.d_model))
+    pooled = ad.attention(q, k, v, 1.0 / math.sqrt(model.config.d_model), hidden)
     return ad.layer_norm(ad.add(lat, ad.matmul(pooled, model.param("resampler/wo"))),
                          axis=-1)
 
 
-def in_order(parts: list[Tensor], groups: list[list[int]]) -> Tensor:
-    """Join per-group results along axis 0 and put their rows back in input
-    order: row ``j`` of ``parts[g]`` belongs to input ``groups[g][j]``."""
-    joined = ad.concat(parts)
-    order = [i for rows in groups for i in rows]
-    if order == sorted(order):
-        return joined
-    return joined[np.argsort(order)]
-
-
 def encode_media(model: Model, media_features: list[np.ndarray]) -> Tensor | None:
     """The media of one sequence, each item vision-encoded and resampled:
-    [1, n_media, n_latents, d_model], or None for no media. Items of one
-    feature shape (say, all the 1-frame images) go through one
-    ``vision_encode`` and one ``resample`` call as a batch."""
+    [1, n_media, n_latents, d_model], or None for no media. Each [frames,
+    patches, d_vision] item is flattened to rows and padded with zero rows to
+    the longest, so all go through one ``vision_encode`` and one ``resample``
+    call, which masks the padding out."""
     if not media_features:
         return None
     c = model.config
-    groups: dict[tuple, list[int]] = {}
-    for i, f in enumerate(media_features):
-        groups.setdefault(np.shape(f), []).append(i)
-    parts = []
-    for rows in groups.values():
-        feats = np.stack([media_features[i] for i in rows])
-        parts.append(resample(model, vision_encode(model, feats)))
-    toks = in_order(parts, list(groups.values()))
-    return ad.reshape(toks, (1, len(media_features), c.n_latents, c.d_model))
+    items = [np.asarray(f, dtype=np.float64) for f in media_features]
+    for f in items:
+        if f.ndim != 3 or f.shape[-1] != c.d_vision or not f.size:
+            raise ValueError(f"media features {f.shape} are not a non-empty "
+                             f"[frames, patches, d_vision {c.d_vision}] grid")
+    lengths = np.array([f.shape[0] * f.shape[1] for f in items])
+    feats = np.zeros((len(items), lengths.max(), 1, c.d_vision))  # 1-patch frames
+    for f, n, out in zip(items, lengths, feats):
+        out[:n, 0] = f.reshape(n, c.d_vision)
+    hidden = np.arange(lengths.max()) >= lengths[:, None, None]  # [n, 1, rows]
+    toks = resample(model, vision_encode(model, feats), hidden)
+    return ad.reshape(toks, (1, len(items), c.n_latents, c.d_model))
 
 
 def _fusion(model: Model, pos: int, x: Tensor, vtok_flat: Tensor,
@@ -364,11 +364,12 @@ def forward_logits(model: Model, token_ids, media_features: list[np.ndarray],
 # contrastive head
 
 
-def _pool(hidden: Tensor, query: Tensor) -> Tensor:
+def _pool(states: Tensor, query: Tensor, hidden: np.ndarray | None = None) -> Tensor:
     """Attention-pool a batch [B, n, d] of rows to [B, d] with one query [d]
-    shared by every row."""
-    b, _, d = hidden.shape
-    pooled = ad.attention(ad.reshape(query, (1, d)), hidden, hidden, 1.0 / math.sqrt(d))
+    shared by every row, each row skipping its ``hidden`` [B, 1, n] entries."""
+    b, _, d = states.shape
+    pooled = ad.attention(ad.reshape(query, (1, d)), states, states,
+                          1.0 / math.sqrt(d), hidden)
     return ad.reshape(pooled, (b, d))
 
 
@@ -377,12 +378,21 @@ def _l2_normalize(x: Tensor) -> Tensor:
     return ad.mul(x, ad.rsqrt(ad.add(sq, Tensor(np.full(sq.shape, 1e-24)))))
 
 
-def embed_text(model: Model, text_hidden: Tensor) -> Tensor:
+def embed_text(model: Model, text_hidden: Tensor, spans: list[tuple[int, int]]
+               ) -> Tensor:
     """Text tower: pooled, projected, unit-norm embeddings [B, d_embed] of
-    the mid-LM states [B, seq, d] of equal-length captions."""
-    if text_hidden.shape[1] == 0:
-        raise ValueError("embed_text: empty text segment")
-    t = _pool(text_hidden, model.param("contrastive/text_query"))
+    the mid-LM states [B, seq, d] of a padded batch. Row ``i`` is pooled over
+    its caption's positions ``spans[i] = (lo, hi)`` alone: the rest of the
+    row (media placeholder, padding) is masked, or cut if no span covers it."""
+    b, seq, _ = text_hidden.shape
+    if len(spans) != b or not all(0 <= lo < hi <= seq for lo, hi in spans):
+        raise ValueError(f"embed_text: empty text segment among {spans} in "
+                         f"{b} rows of {seq} positions")
+    lo, hi = np.array(spans).T[:, :, None, None]
+    first, last = lo.min(), hi.max()
+    pos = np.arange(first, last)
+    t = _pool(text_hidden[:, first:last, :], model.param("contrastive/text_query"),
+              (pos < lo) | (pos >= hi))
     return _l2_normalize(ad.matmul(t, model.param("contrastive/text_head")))
 
 
@@ -395,15 +405,11 @@ def embed_media(model: Model, visual: Tensor) -> Tensor:
 
 
 def contrastive_embed(model: Model, text_hidden: Tensor, visual: Tensor,
-                      text_span: tuple[int, int] | None = None
-                      ) -> tuple[Tensor, Tensor]:
-    """The (text, media) embeddings [B, d_embed] of a batch of pairs: mid-LM
-    states [B, seq, d] and media [B, n_media, n_latents, d]. ``text_span``
-    restricts the text tower to the captions' own token positions."""
-    if text_span is not None:
-        lo, hi = text_span
-        text_hidden = text_hidden[:, lo:hi, :]
-    return embed_text(model, text_hidden), embed_media(model, visual)
+                      spans: list[tuple[int, int]]) -> tuple[Tensor, Tensor]:
+    """The (text, media) embeddings [B, d_embed] of a batch of pairs: padded
+    mid-LM states [B, seq, d], each row pooled over its caption's ``spans``
+    entry as in ``embed_text``, and media [B, n_media, n_latents, d]."""
+    return embed_text(model, text_hidden, spans), embed_media(model, visual)
 
 
 def logit_scale(model: Model) -> Tensor:
@@ -457,8 +463,10 @@ def greedy_decode_batch(model: Model, prompts: list[tuple], stop_id: int,
     prompts, in prompt order.
 
     Prompts of one length and media count form a group and decode in
-    lockstep, so no row needs a padding mask: the trunk sees a group in its
-    one [B, ...] layout, and a lone prompt is the B=1 case. A group encodes
+    lockstep: the trunk sees a group in its one [B, ...] layout, and a lone
+    prompt is the B=1 case. Unlike the contrastive towers, prompts of unequal
+    length cannot be right-padded, since each pass appends one new-token
+    column that must follow every row's own last token. A group encodes
     each media item once, runs its prompts as one [B, seq] batch, then feeds
     one [B, 1] column of new tokens per pass against one batched cache: the
     keys and values every self-attention block cached for the earlier

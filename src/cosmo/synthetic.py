@@ -247,26 +247,20 @@ def episode_prompt(episode: FewShotEpisode, vocab: Vocab
 def caption_text_embeddings(model: cm.Model, vocab: Vocab, captions: list[str]
                             ) -> np.ndarray:
     """[n, d_embed] text-tower embeddings of captions, each serialized as in
-    a pair document. Captions of one token length run as one batched
-    unimodal pass; the blank media item only fixes the layout and is never
-    encoded."""
+    a pair document. All captions run as one right-padded unimodal pass,
+    each pooled over its own span; the blank media item only fixes the
+    layout and is never encoded."""
     blank = MediaItem("image", np.zeros((1, 1, model.config.d_vision)))
     layouts = [serialize(Document(segments=[MediaRef(0), TextSpan(c)],
                                   media=[blank]), vocab) for c in captions]
-    groups: dict[tuple, list[int]] = {}
-    for i, (tokens, _, text_slice) in enumerate(layouts):
-        groups.setdefault((len(tokens), text_slice[0]), []).append(i)
-    out = np.empty((len(captions), model.config.d_embed_contrastive))
-    for (_, (lo, hi)), rows in groups.items():
-        th = cm.encode_text_unimodal(model, [layouts[i][0] for i in rows])
-        out[rows] = cm.embed_text(model, th[:, lo:hi, :]).data
-    return out
+    th = cm.encode_text_unimodal(model, [tokens for tokens, _, _ in layouts])
+    return cm.embed_text(model, th, [text_slice[0] for _, _, text_slice in layouts]).data
 
 
 def media_embeddings(model: cm.Model, features: list[np.ndarray]) -> np.ndarray:
-    """[n, d_embed] media-tower embeddings of single media items: each item is
-    resampled on its own (``encode_media`` batches items of one shape), then
-    all are pooled in one batched call."""
+    """[n, d_embed] media-tower embeddings of single media items: one padded
+    ``encode_media`` call resamples each item on its own, then all are pooled
+    in one batched call."""
     visual = cm.encode_media(model, features)  # [1, n, n_latents, d]
     visual = ad.reshape(visual, (len(features), 1, *visual.shape[2:]))
     return cm.embed_media(model, visual).data
@@ -277,7 +271,7 @@ def retrieval_at_1(model: cm.Model, vocab: Vocab,
                    candidates: list[str]) -> float:
     """Fraction of query media whose nearest caption embedding is the target.
 
-    All candidate captions are embedded in one batched unimodal pass and all
+    All candidate captions are embedded in one padded unimodal pass and all
     query media in one ``embed_media`` call.
     """
     cand = caption_text_embeddings(model, vocab, candidates)

@@ -339,26 +339,17 @@ def _batch_lm_loss(model: cm.Model, batch: list[Sample]) -> Tensor:
 
 
 def _batch_contrastive(model: cm.Model, batch: list[Sample]) -> Tensor | None:
-    """InfoNCE over the batch's pairs. Pairs of one token length and caption
-    span are embedded as one [B, seq] batch; the embeddings are then put back
-    in batch order."""
+    """InfoNCE over the batch's pairs. The pairs' token rows are embedded as
+    one right-padded [B, seq] batch, each pooled over its own caption span,
+    and their media as one padded media batch."""
     pairs = [s for s in batch if s.text_span is not None and s.media_features]
     if not pairs:
         return None
-    groups: dict[tuple, list[int]] = {}
-    for i, s in enumerate(pairs):
-        groups.setdefault((len(s.token_ids), s.text_span), []).append(i)
-    ts, vs = [], []
-    for (_, span), rows in groups.items():
-        th = cm.encode_text_unimodal(model, [pairs[i].token_ids for i in rows])
-        vt = cm.encode_media(model, [pairs[i].media_features[0] for i in rows])
-        vt = ad.reshape(vt, (len(rows), 1, *vt.shape[2:]))
-        t, v = cm.contrastive_embed(model, th, vt, text_span=span)
-        ts.append(t)
-        vs.append(v)
-    order = list(groups.values())
-    return cm.contrastive_loss(cm.in_order(ts, order), cm.in_order(vs, order),
-                               cm.logit_scale(model))
+    th = cm.encode_text_unimodal(model, [s.token_ids for s in pairs])
+    vt = cm.encode_media(model, [s.media_features[0] for s in pairs])
+    vt = ad.reshape(vt, (len(pairs), 1, *vt.shape[2:]))
+    t, v = cm.contrastive_embed(model, th, vt, [s.text_span for s in pairs])
+    return cm.contrastive_loss(t, v, cm.logit_scale(model))
 
 
 def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,

@@ -343,6 +343,19 @@ def test_log_softmax_values_and_gradients(shape, seed, spread):
                                                 Tensor(w))), [x]) < 1e-6
 
 
+@settings(max_examples=25, deadline=None)
+@given(shapes, seeds)
+def test_exp_and_log_values_and_gradients(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = leaf(rng, shape)
+    positive = Tensor(rng.uniform(0.1, 3.0, size=shape), requires_grad=True)
+    w = rng.normal(size=shape)
+    assert ad.exp(x).data.tobytes() == np.exp(x.data).tobytes()
+    assert ad.log(positive).data.tobytes() == np.log(positive.data).tobytes()
+    for op, t in ((ad.exp, x), (ad.log, positive)):
+        assert ad.grad_check(lambda: ad.sum_(ad.mul(op(t), Tensor(w))), [t]) < 1e-6
+
+
 # -- fused kernels against the chains they replace ----------------------------
 
 def unfused_attention(q, k, v, scale, hidden=None):

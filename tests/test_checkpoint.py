@@ -1,9 +1,10 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from cosmo.checkpoint import load_archive, save_archive
+from cosmo.checkpoint import ArchiveError, load_archive, save_archive
 
 
 class FailingBuffer:
@@ -40,3 +41,27 @@ def test_save_overwrites_temp_file_left_by_killed_save(tmp_path):
     assert os.listdir(tmp_path) == ["model.ckpt"]
     manifest, loaded = load_archive(str(ckpt))
     assert manifest["step"] == 3 and loaded["a"].tolist() == [1.0, 1.0]
+
+
+def write_raw(path, manifest: bytes, payload: bytes = b"") -> str:
+    path.write_bytes(struct.pack("<Q", len(manifest)) + manifest + payload)
+    return str(path)
+
+
+@pytest.mark.parametrize("manifest", [
+    b"\xff\xfe",  # not UTF-8
+    b"{not json}",
+    b"[1, 2]",  # JSON, but not an object
+    b"4",
+    b'{"params": [{"shape": [1]}]}',  # an entry without a name
+    b'{"params": [{"name": "a"}]}',  # an entry without a shape
+    b'{"params": ["a"]}',
+    b'{"params": 3}',
+    b'{"params": [{"name": "a", "shape": [-1]}]}',
+    b'{"params": [{"name": "a", "shape": [1.5]}]}',
+], ids=["not-utf8", "not-json", "list", "number", "no-name", "no-shape",
+        "entry-not-object", "params-not-list", "negative-dim", "float-dim"])
+def test_malformed_manifest_raises_archive_error(tmp_path, manifest):
+    path = write_raw(tmp_path / "bad.ckpt", manifest, b"\0" * 16)
+    with pytest.raises(ArchiveError, match="bad.ckpt"):
+        load_archive(path)

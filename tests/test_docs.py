@@ -114,6 +114,32 @@ def test_text_slice_reproduces_span_tokens(segments):
     assert [ids[p] for p, _ in media_slice] == [VISUAL] * len(media)
 
 
+# known words, and arbitrary words (any script, control characters included)
+# that fall back to bytes
+words = st.one_of(st.sampled_from(["the", "cat", "sat"]),
+                  st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                          max_size=5))
+
+
+@given(st.lists(st.one_of(st.none(), st.lists(words, max_size=6).map(" ".join)),
+                min_size=1, max_size=6))
+def test_detokenized_text_slice_recovers_normalized_span(segments):
+    """None stands for a media reference, a string for a text span."""
+    v = build_vocab(["the cat sat"], max_size=300)
+    media, segs = [], []
+    for s in segments:
+        if s is None:
+            segs.append(MediaRef(len(media)))
+            media.append(make_media())
+        else:
+            segs.append(TextSpan(s))
+    ids, _, text_slice = serialize(Document(segs, media), v)
+    spans = [s for s in segments if s is not None]
+    assert len(text_slice) == len(spans)
+    for (lo, hi), text in zip(text_slice, spans):
+        assert v.detokenize(ids[lo:hi]) == " ".join(text.split())
+
+
 def test_document_validation():
     with pytest.raises(ValueError, match="media_id"):
         Document(segments=[MediaRef(0)], media=[])

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosmo import autodiff as ad
 from cosmo import model as cm
@@ -201,22 +202,54 @@ def _value_and_grads(m, f):
     return out.data, grads
 
 
-def test_encode_media_batches_by_shape_in_input_order():
-    # 1-frame images and 3-frame videos, interleaved: one vision_encode and
-    # one resample per shape, the items back in input order
+def test_encode_media_batches_by_shape_in_input_order(monkeypatch):
+    # images and videos of 2 patches, interleaved with [f, 1, d] clips (as
+    # interlink.clip_media_features gives them): one padded vision_encode and
+    # resample call, and each item's values and resampler gradients as if it
+    # ran alone, in its input place
     m = cm.build(toy_config(), seed=3)
     inputs.move_off_init(m, 3)
     rng = np.random.default_rng(3)
-    feats = [media(rng, frames=f) for f in (1, 3, 1, 3, 3, 1)]
-    got, got_grads = _value_and_grads(m, lambda: cm.encode_media(m, feats))
+    feats = [media(rng, frames=f, patches=p) for f, p in
+             ((1, 2), (3, 2), (2, 1), (1, 2), (3, 2), (1, 1), (3, 2), (3, 1), (1, 2))]
     want, want_grads = _value_and_grads(m, lambda: ad.concat(
         [cm.encode_media(m, [f]) for f in feats], axis=1))
-    assert got.shape == want.shape == (1, 6, 2, 16)
+    calls = collections.Counter()
+    for name in ("vision_encode", "resample"):
+        monkeypatch.setattr(cm, name, lambda *a, _fn=getattr(cm, name), _name=name:
+                            calls.update([_name]) or _fn(*a))
+    got, got_grads = _value_and_grads(m, lambda: cm.encode_media(m, feats))
+    assert calls == {"vision_encode": 1, "resample": 1}
+    assert got.shape == want.shape == (1, 9, 2, 16)
     assert np.abs(got - want).max() <= 1e-12
     assert set(got_grads) == set(want_grads) == {k for k in m.learnable_params
                                                  if k.startswith("resampler/")}
     for k, g in want_grads.items():
         assert np.abs(got_grads[k] - g).max() <= 1e-12, k
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (1, 2, 5), (1, 4, 4), (2, 1, 2, 8),
+                                   (0, 2, 8), (1, 0, 8)])
+def test_encode_media_rejects_misshapen_item(shape):
+    # a [1, 4, 4] item holds 16 numbers, so it would reshape to two 8-wide
+    # rows without the check
+    m = cm.build(toy_config(), seed=0)
+    good = np.zeros((1, 2, 8))
+    with pytest.raises(ValueError, match="d_vision 8"):
+        cm.encode_media(m, [good, np.zeros(shape)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_padded_unimodal_rows_equal_each_row_alone(lengths, seed):
+    m = cm.build(toy_config(), seed=6)
+    rng = np.random.default_rng(seed)
+    rows = [rng.integers(0, m.config.vocab_size, size=n).tolist() for n in lengths]
+    batch = cm.encode_text_unimodal(m, rows).data
+    assert batch.shape == (len(rows), max(lengths), m.config.d_model)
+    for r, ids in enumerate(rows):
+        alone = cm.encode_text_unimodal(m, [ids]).data[0]
+        assert np.abs(batch[r, :len(ids)] - alone).max() <= 1e-12
 
 
 # -- fusion and logits ------------------------------------------------------
@@ -435,16 +468,16 @@ def test_cached_decode_context_error_at_same_step(monkeypatch):
 
 def test_cached_decode_encodes_each_media_once(monkeypatch):
     m, ids, feats, pos = decode_inputs(0, n_media=3)
-    # items of one shape share a call, so count the items each call encodes:
+    # the items share one padded call, so count the items each call encodes:
     # the leading dim of a batch, or 1 for an item on its own
     items = {"vision_encode": 0, "resample": 0}
     batch_ndim = {"vision_encode": 4, "resample": 3}
     for name in items:
         fn = getattr(cm, name)
 
-        def counting(model, x, _fn=fn, _name=name):
+        def counting(model, x, *rest, _fn=fn, _name=name):
             items[_name] += x.shape[0] if len(x.shape) == batch_ndim[_name] else 1
-            return _fn(model, x)
+            return _fn(model, x, *rest)
 
         monkeypatch.setattr(cm, name, counting)
     out = cm.greedy_decode(m, ids, feats, pos, stop_id=-1, max_new=6)
@@ -528,7 +561,7 @@ def embed_pair(m, rng, seq=8):
     ids = rng.integers(5, m.config.vocab_size, size=seq).tolist()
     th = cm.encode_text_unimodal(m, [ids])
     vt = cm.encode_media(m, [media(rng)])
-    return cm.contrastive_embed(m, th, vt, text_span=(2, seq))
+    return cm.contrastive_embed(m, th, vt, [(2, seq)])
 
 
 def test_contrastive_unit_norm():
@@ -546,9 +579,9 @@ def test_contrastive_duplicates_identical():
     f = media(rng)
     th = cm.encode_text_unimodal(m, [ids])
     vt = cm.encode_media(m, [f])
-    t1, v1 = cm.contrastive_embed(m, th, vt)
+    t1, v1 = cm.contrastive_embed(m, th, vt, [(0, 8)])
     t2, v2 = cm.contrastive_embed(m, cm.encode_text_unimodal(m, [ids]),
-                                  cm.encode_media(m, [f]))
+                                  cm.encode_media(m, [f]), [(0, 8)])
     assert t1.data.tobytes() == t2.data.tobytes()
     assert v1.data.tobytes() == v2.data.tobytes()
 
@@ -562,15 +595,15 @@ def test_towers_equal_contrastive_embed_bit_for_bit():
     for r in range(2):  # each pair as a one-row batch
         th = cm.encode_text_unimodal(m, [ids[r]])
         vt = cm.encode_media(m, [feats[r]])
-        t, v = cm.contrastive_embed(m, th, vt, text_span=(2, 7))
-        assert cm.embed_text(m, th[:, 2:7, :]).data.tobytes() == t.data.tobytes()
+        t, v = cm.contrastive_embed(m, th, vt, [(2, 7)])
+        assert cm.embed_text(m, th, [(2, 7)]).data.tobytes() == t.data.tobytes()
         assert cm.embed_media(m, vt).data.tobytes() == v.data.tobytes()
         assert t.shape == v.shape == (1, 8)
         rows.append((t.data[0], v.data[0]))
     # the two pairs as one batch: each row equals its one-row batch
     visual = ad.concat([cm.encode_media(m, [f]) for f in feats])
     t, v = cm.contrastive_embed(m, cm.encode_text_unimodal(m, ids), visual,
-                                text_span=(2, 7))
+                                [(2, 7), (2, 7)])
     assert t.shape == v.shape == (2, 8)
     for r, (t_row, v_row) in enumerate(rows):
         assert np.abs(t.data[r] - t_row).max() <= 1e-12
@@ -582,8 +615,11 @@ def test_contrastive_empty_text_errors():
     rng = np.random.default_rng(1)
     th = cm.encode_text_unimodal(m, [[5, 6, 7]])
     vt = cm.encode_media(m, [media(rng)])
-    with pytest.raises(ValueError, match="empty text"):
-        cm.contrastive_embed(m, th, vt, text_span=(2, 2))
+    # empty, out of the row, or one span too many: a fully masked row would
+    # pool every position uniformly instead
+    for spans in ([(2, 2)], [(3, 2)], [(-1, 2)], [(1, 4)], [(0, 3), (0, 3)]):
+        with pytest.raises(ValueError, match="empty text"):
+            cm.contrastive_embed(m, th, vt, spans)
 
 
 # -- losses -----------------------------------------------------------------
@@ -759,7 +795,7 @@ def test_combined_loss_interleaved_weight_doubles():
             np.testing.assert_array_equal(two[k], 2.0 * g, err_msg=k)
 
 
-def test_batch_contrastive_equals_per_pair_infonce():
+def test_batch_contrastive_equals_per_pair_infonce(monkeypatch):
     # captions of two lengths and spans, interleaved, with image and video
     # media; the unpaired sample is left out
     m = cm.build(toy_config(), seed=4)
@@ -779,12 +815,19 @@ def test_batch_contrastive_equals_per_pair_infonce():
                 continue
             t, v = cm.contrastive_embed(m, cm.encode_text_unimodal(m, [s.token_ids]),
                                         cm.encode_media(m, s.media_features[:1]),
-                                        text_span=s.text_span)
+                                        [s.text_span])
             ts.append(t)
             vs.append(v)
         return cm.contrastive_loss(ad.concat(ts), ad.concat(vs), cm.logit_scale(m))
 
+    calls = collections.Counter()
+    for name in ("encode_text_unimodal", "encode_media"):
+        monkeypatch.setattr(cm, name, lambda *a, _fn=getattr(cm, name), _name=name:
+                            calls.update([_name]) or _fn(*a))
     got, got_grads = _value_and_grads(m, lambda: tr._batch_contrastive(m, batch))
+    # one padded call per tower, whatever mix of lengths and frames
+    assert calls == {"encode_text_unimodal": 1, "encode_media": 1}
+    monkeypatch.undo()
     want, want_grads = _value_and_grads(m, per_pair)
     assert abs(float(got) - float(want)) <= 1e-12
     assert set(got_grads) == set(want_grads)
@@ -809,7 +852,7 @@ def test_pooling_query_gradient_matches_finite_differences():
         for fm in feats:
             th = cm.encode_text_unimodal(m, [ids])
             vt = cm.encode_media(m, [fm])
-            t, v = cm.contrastive_embed(m, th, vt)
+            t, v = cm.contrastive_embed(m, th, vt, [(0, 6)])
             ts.append(t)
             vs.append(v)
         return cm.contrastive_loss(ad.concat(ts, axis=0), ad.concat(vs, axis=0),

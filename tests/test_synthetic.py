@@ -87,7 +87,7 @@ def test_eval_fewshot_match_agrees_with_decode(tmp_path):
     assert res["caption_exact_match"] == np.mean(res["per_episode_match"])
 
 
-def test_batched_embeddings_match_unbatched_towers(tmp_path):
+def test_batched_embeddings_match_unbatched_towers(tmp_path, monkeypatch):
     """Each row of the batched embeddings equals the tower run on a one-row
     batch of its caption or media item, as training runs it."""
     meta, vocab = corpus(tmp_path)
@@ -95,16 +95,22 @@ def test_batched_embeddings_match_unbatched_towers(tmp_path):
     rng = np.random.default_rng(4)
     for p in model.learnable_params.values():  # off the symmetric init
         p.data = p.data + rng.normal(scale=0.1, size=p.shape)
-    # two caption lengths, so the batch runs as two groups
+    # two caption lengths, right-padded into one unimodal pass
     captions = [meta.caption(0, 1), "red", meta.caption(2, 3, False), "blue",
                 meta.caption(1, 1)]
     blank = MediaItem("image", np.zeros((1, 1, model.config.d_vision)))
-    batched = sy.caption_text_embeddings(model, vocab, captions)
+    passes = []
+    encode = cm.encode_text_unimodal
+    with monkeypatch.context() as mp:
+        mp.setattr(cm, "encode_text_unimodal",
+                   lambda m, ids: passes.append(ids) or encode(m, ids))
+        batched = sy.caption_text_embeddings(model, vocab, captions)
+    assert len(passes) == 1 and len({len(ids) for ids in passes[0]}) == 2
     for row, caption in zip(batched, captions):
         tokens, _, ((lo, hi),) = serialize(
             Document(segments=[MediaRef(0), TextSpan(caption)], media=[blank]), vocab)
         th = cm.encode_text_unimodal(model, [tokens])
-        want = cm.embed_text(model, th[:, lo:hi, :]).data[0]
+        want = cm.embed_text(model, th, [(lo, hi)]).data[0]
         assert np.abs(row - want).max() <= 1e-12
     feats = [sy.combo_features(meta, c, c, rng, video=c % 2 == 1) for c in range(3)]
     batched = sy.media_embeddings(model, feats)

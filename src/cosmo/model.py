@@ -15,8 +15,11 @@ Each decoder block is one ``ad.decoder_block`` node and each fusion layer one
 ``ad.gated_cross_attention`` node. The resampler and the contrastive pooling
 are one ``ad.attention`` node each, and every other affine layer norm one
 ``ad.layer_norm`` node. Rows and media items of unequal size are padded into
-one batch, never split into groups, and masks keep the pads unread. The decode
-cache holds each block's keys and values and each fusion layer's visual ones.
+one batch, never split into groups, and masks keep the pads unread. Media
+tokens keep one layout: [n, n_latents, d] per item from ``encode_media``, and
+[B, n_media * n_latents, d] per batch row in ``fuse_and_decode`` and
+``embed_media``. The decode cache holds each block's keys and values and each
+fusion layer's visual ones.
 """
 
 from __future__ import annotations
@@ -230,19 +233,14 @@ def encode_text_unimodal(model: Model, token_ids, cache: dict | None = None,
     return h
 
 
-def vision_encode(model: Model, features: np.ndarray) -> Tensor:
-    """Frozen vision pathway over a [frames, patches, d_vision] feature grid,
-    or a batch [n, frames, patches, d_vision] of equal-size grids.
-
-    Returns [frames * patches, d_vision] (or [n, frames * patches,
-    d_vision]); deterministic, carries no gradient.
-    """
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim not in (3, 4) or feats.shape[-1] != model.config.d_vision:
+def vision_encode(model: Model, rows: np.ndarray) -> Tensor:
+    """Frozen vision pathway over a batch [n, rows, d_vision] of feature rows:
+    [n, rows, d_vision], deterministic, carries no gradient."""
+    x = Tensor(rows)
+    if x.ndim != 3 or x.shape[-1] != model.config.d_vision:
         raise ValueError(
-            f"media features {feats.shape} do not match d_vision "
+            f"media features {x.shape} do not match d_vision "
             f"{model.config.d_vision}")
-    x = Tensor(feats.reshape(*feats.shape[:-3], -1, model.config.d_vision))
     h = ad.gelu(ad.add(ad.matmul(x, model.param("frozen/vis_w1")),
                        model.param("frozen/vis_b1")))
     return ad.add(ad.matmul(h, model.param("frozen/vis_w2")),
@@ -251,10 +249,9 @@ def vision_encode(model: Model, features: np.ndarray) -> Tensor:
 
 def resample(model: Model, features: Tensor, hidden: np.ndarray | None = None
              ) -> Tensor:
-    """Map any number of vision feature rows [rows, d_vision] to n_latents
-    tokens [n_latents, d]; a batch [n, rows, d_vision] maps to [n, n_latents,
-    d], all items read by the one set of latents. ``hidden`` [n, 1, rows]
-    marks the padding rows no latent may read."""
+    """Map vision feature rows [n, rows, d_vision] to n_latents tokens per
+    item, [n, n_latents, d], all items read by the one set of latents.
+    ``hidden`` [n, 1, rows] marks the padding rows no latent may read."""
     lat = model.param("resampler/latents")
     q = ad.matmul(lat, model.param("resampler/wq"))
     k = ad.matmul(features, model.param("resampler/wk"))
@@ -265,8 +262,8 @@ def resample(model: Model, features: Tensor, hidden: np.ndarray | None = None
 
 
 def encode_media(model: Model, media_features: list[np.ndarray]) -> Tensor | None:
-    """The media of one sequence, each item vision-encoded and resampled:
-    [1, n_media, n_latents, d_model], or None for no media. Each [frames,
+    """Per-item tokens [n, n_latents, d_model] of n media items, each
+    vision-encoded and resampled, or None for no media. Each [frames,
     patches, d_vision] item is flattened to rows and padded with zero rows to
     the longest, so all go through one ``vision_encode`` and one ``resample``
     call, which masks the padding out."""
@@ -279,18 +276,17 @@ def encode_media(model: Model, media_features: list[np.ndarray]) -> Tensor | Non
             raise ValueError(f"media features {f.shape} are not a non-empty "
                              f"[frames, patches, d_vision {c.d_vision}] grid")
     lengths = np.array([f.shape[0] * f.shape[1] for f in items])
-    feats = np.zeros((len(items), lengths.max(), 1, c.d_vision))  # 1-patch frames
-    for f, n, out in zip(items, lengths, feats):
-        out[:n, 0] = f.reshape(n, c.d_vision)
+    rows = np.zeros((len(items), lengths.max(), c.d_vision))
+    for f, n, out in zip(items, lengths, rows):
+        out[:n] = f.reshape(n, c.d_vision)
     hidden = np.arange(lengths.max()) >= lengths[:, None, None]  # [n, 1, rows]
-    toks = resample(model, vision_encode(model, feats), hidden)
-    return ad.reshape(toks, (1, len(items), c.n_latents, c.d_model))
+    return resample(model, vision_encode(model, rows), hidden)
 
 
-def _fusion(model: Model, pos: int, x: Tensor, vtok_flat: Tensor,
+def _fusion(model: Model, pos: int, x: Tensor, visual: Tensor,
             hidden: np.ndarray, cache: dict | None = None) -> Tensor:
     """Gated bottlenecked cross-attention from text ``x`` [B, s, d] to the
-    visual tokens ``vtok_flat`` [B, m, d].
+    visual tokens ``visual`` [B, m, d].
 
     ``hidden`` [B, s, m] marks the visual tokens each text position may not
     attend to (media-causal). Rows that see nothing pass through. With a
@@ -299,7 +295,7 @@ def _fusion(model: Model, pos: int, x: Tensor, vtok_flat: Tensor,
     p = f"fusion{pos}/"
     kv = None if cache is None else cache.get(p)
     out, kv = ad.gated_cross_attention(
-        x, *(model.param(p + w) for w in _FUSION_WEIGHTS), vtok_flat, hidden, kv)
+        x, *(model.param(p + w) for w in _FUSION_WEIGHTS), visual, hidden, kv)
     if cache is not None:
         cache[p] = kv
     return out
@@ -327,23 +323,22 @@ def fuse_and_decode(model: Model, text_hidden: Tensor, visual: Tensor | None,
     hidden states ``text_hidden`` [B, seq, d] at positions ``start..``, as in
     ``encode_text_unimodal``.
 
-    ``visual`` is [B, n_media, n_latents, d] or None. ``media_positions``
+    ``visual`` is [B, n_media * n_latents, d] or None. ``media_positions``
     holds one list per row mapping token positions to media indices; a text
     token may only attend to media introduced at or before its own position.
     """
     c = model.config
     if visual is not None:
-        b, n_media, n_lat, d = visual.shape
+        n_media = visual.shape[1] // c.n_latents
         end = start + text_hidden.shape[1]
-        hidden = ~np.stack([_media_visibility(r, n_media, n_lat, start, end)
+        hidden = ~np.stack([_media_visibility(r, n_media, c.n_latents, start, end)
                             for r in media_positions])
-        vtok_flat = ad.reshape(visual, (b, n_media * n_lat, d))
     h = text_hidden
     causal = _causal(h.shape[1], start)
     fusion_at = set(c.fusion_positions())
     for i in range(c.split_index, c.n_layers_total):
         if i in fusion_at and visual is not None:
-            h = _fusion(model, i, h, vtok_flat, hidden, cache)
+            h = _fusion(model, i, h, visual, hidden, cache)
         h = _block(model, i, h, causal, cache)
     h = ad.layer_norm(h, gain=model.param("frozen/final_ln_g"),
                       bias=model.param("frozen/final_ln_b"))
@@ -356,6 +351,8 @@ def forward_logits(model: Model, token_ids, media_features: list[np.ndarray],
     logits [seq, vocab]."""
     th = encode_text_unimodal(model, [token_ids])
     visual = encode_media(model, media_features)
+    if visual is not None:
+        visual = ad.reshape(visual, (1, -1, model.config.d_model))
     logits = fuse_and_decode(model, th, visual, [media_positions])
     return ad.reshape(logits, logits.shape[1:])
 
@@ -398,9 +395,8 @@ def embed_text(model: Model, text_hidden: Tensor, spans: list[tuple[int, int]]
 
 def embed_media(model: Model, visual: Tensor) -> Tensor:
     """Media tower: pooled, projected, unit-norm embeddings [B, d_embed] of
-    resampled media [B, n_media, n_latents, d]."""
-    v = _pool(ad.reshape(visual, (visual.shape[0], -1, model.config.d_model)),
-              model.param("contrastive/vis_query"))
+    media tokens [B, m, d], such as ``encode_media``'s one row per item."""
+    v = _pool(visual, model.param("contrastive/vis_query"))
     return _l2_normalize(ad.matmul(v, model.param("contrastive/vis_head")))
 
 
@@ -408,7 +404,7 @@ def contrastive_embed(model: Model, text_hidden: Tensor, visual: Tensor,
                       spans: list[tuple[int, int]]) -> tuple[Tensor, Tensor]:
     """The (text, media) embeddings [B, d_embed] of a batch of pairs: padded
     mid-LM states [B, seq, d], each row pooled over its caption's ``spans``
-    entry as in ``embed_text``, and media [B, n_media, n_latents, d]."""
+    entry as in ``embed_text``, and media tokens [B, m, d] (``embed_media``)."""
     return embed_text(model, text_hidden, spans), embed_media(model, visual)
 
 
@@ -493,8 +489,8 @@ def _decode_lockstep(model: Model, group: list[tuple], stop_id: int,
     ids, feats, positions = zip(*group)
     new = np.asarray(ids, dtype=np.int64)  # [B, seq]
     visual = encode_media(model, [f for row in feats for f in row])
-    if visual is not None:  # [1, B * n_media, ...] -> [B, n_media, ...]
-        visual = ad.reshape(visual, (len(group), -1, *visual.shape[2:]))
+    if visual is not None:  # [B * n_media, L, d] -> [B, n_media * L, d]
+        visual = ad.reshape(visual, (len(group), -1, model.config.d_model))
     cache: dict = {}
     start = 0
     out: list[list[int]] = [[] for _ in group]

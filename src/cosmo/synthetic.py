@@ -17,7 +17,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import autodiff as ad
 from . import model as cm
 from .docs import (EOC, MAX_VIDEO_FRAMES, Document, MediaItem, MediaRef, TextSpan,
                    Vocab, serialize, write_shard)
@@ -259,11 +258,9 @@ def caption_text_embeddings(model: cm.Model, vocab: Vocab, captions: list[str]
 
 def media_embeddings(model: cm.Model, features: list[np.ndarray]) -> np.ndarray:
     """[n, d_embed] media-tower embeddings of single media items: one padded
-    ``encode_media`` call resamples each item on its own, then all are pooled
-    in one batched call."""
-    visual = cm.encode_media(model, features)  # [1, n, n_latents, d]
-    visual = ad.reshape(visual, (len(features), 1, *visual.shape[2:]))
-    return cm.embed_media(model, visual).data
+    ``encode_media`` call gives each item's tokens [n, n_latents, d], and
+    ``embed_media`` pools each item's on its own in one batched call."""
+    return cm.embed_media(model, cm.encode_media(model, features)).data
 
 
 def retrieval_at_1(model: cm.Model, vocab: Vocab,

@@ -347,7 +347,6 @@ def _batch_contrastive(model: cm.Model, batch: list[Sample]) -> Tensor | None:
         return None
     th = cm.encode_text_unimodal(model, [s.token_ids for s in pairs])
     vt = cm.encode_media(model, [s.media_features[0] for s in pairs])
-    vt = ad.reshape(vt, (len(pairs), 1, *vt.shape[2:]))
     t, v = cm.contrastive_embed(model, th, vt, [s.text_span for s in pairs])
     return cm.contrastive_loss(t, v, cm.logit_scale(model))
 

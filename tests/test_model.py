@@ -126,11 +126,11 @@ def test_param_monotonicity():
 def test_vision_encode_deterministic_and_row_count():
     m = cm.build(toy_config(), seed=0)
     rng = np.random.default_rng(0)
-    vid = media(rng, frames=3)
+    vid = media(rng, frames=3).reshape(1, 3 * 2, 8)  # one item's rows
     a = cm.vision_encode(m, vid)
     b = cm.vision_encode(m, vid)
     assert a.data.tobytes() == b.data.tobytes()
-    assert a.shape == (3 * 2, 8)
+    assert a.shape == (1, 3 * 2, 8)
 
 
 def test_vision_encode_zero_input_bias_pathway():
@@ -138,32 +138,35 @@ def test_vision_encode_zero_input_bias_pathway():
     out = cm.vision_encode(m, np.zeros((1, 2, 8)))
     assert np.isfinite(out.data).all()
     # zero input leaves only the bias pathway: both rows identical
-    assert np.allclose(out.data[0], out.data[1])
+    assert np.allclose(out.data[0, 0], out.data[0, 1])
 
 
 def test_vision_encode_dim_mismatch():
     m = cm.build(toy_config(), seed=0)
-    with pytest.raises(ValueError, match="d_vision"):
-        cm.vision_encode(m, np.zeros((1, 2, 5)))
+    # only a batch [n, rows, d_vision] of feature rows is read
+    for shape in [(1, 2, 5), (2, 8), (1, 1, 2, 8)]:
+        with pytest.raises(ValueError, match="d_vision"):
+            cm.vision_encode(m, np.zeros(shape))
 
 
 def test_resample_shape_contract():
     m = cm.build(toy_config(n_latents=4), seed=0)
     rng = np.random.default_rng(1)
-    feats = cm.vision_encode(m, rng.normal(size=(8, 2, 8)))  # 16 rows
+    feats = cm.vision_encode(m, rng.normal(size=(1, 16, 8)))  # 16 rows
     out = cm.resample(m, feats)
-    assert out.shape == (4, 16)
-    # one sequence's media as one row: [1, n_media, n_latents, d]
-    visual = cm.encode_media(m, [rng.normal(size=(8, 2, 8)), media(rng)])
-    assert visual.shape == (1, 2, 4, 16)
+    assert out.shape == (1, 4, 16)
+    # per-item tokens [n, n_latents, d], whatever each item's frames and patches
+    visual = cm.encode_media(m, [rng.normal(size=(8, 2, 8)), media(rng),
+                                 media(rng, frames=3, patches=1)])
+    assert visual.shape == (3, 4, 16)
 
 
 def test_resample_fixed_count_for_videos():
     m = cm.build(toy_config(), seed=0)
     rng = np.random.default_rng(1)
     one = cm.resample(m, cm.vision_encode(m, media(rng, frames=1)))
-    many = cm.resample(m, cm.vision_encode(m, media(rng, frames=6)))
-    assert one.shape == many.shape == (2, 16)
+    many = cm.resample(m, cm.vision_encode(m, media(rng, frames=6).reshape(1, 12, 8)))
+    assert one.shape == many.shape == (1, 2, 16)
 
 
 def test_resample_permutation_invariant_at_init():
@@ -184,7 +187,7 @@ def test_resampled_tokens_distinct_at_init():
     feats = media(rng, frames=2)
     for seed in range(4):
         m = cm.build(toy_config(n_latents=4), seed=seed)
-        toks = cm.encode_media(m, [feats]).data[0, 0]
+        toks = cm.encode_media(m, [feats]).data[0]
         unit = toks / np.linalg.norm(toks, axis=-1, keepdims=True)
         cos = unit @ unit.T
         assert cos[~np.eye(4, dtype=bool)].max() < 0.9, seed
@@ -213,14 +216,14 @@ def test_encode_media_batches_by_shape_in_input_order(monkeypatch):
     feats = [media(rng, frames=f, patches=p) for f, p in
              ((1, 2), (3, 2), (2, 1), (1, 2), (3, 2), (1, 1), (3, 2), (3, 1), (1, 2))]
     want, want_grads = _value_and_grads(m, lambda: ad.concat(
-        [cm.encode_media(m, [f]) for f in feats], axis=1))
+        [cm.encode_media(m, [f]) for f in feats], axis=0))
     calls = collections.Counter()
     for name in ("vision_encode", "resample"):
         monkeypatch.setattr(cm, name, lambda *a, _fn=getattr(cm, name), _name=name:
                             calls.update([_name]) or _fn(*a))
     got, got_grads = _value_and_grads(m, lambda: cm.encode_media(m, feats))
     assert calls == {"vision_encode": 1, "resample": 1}
-    assert got.shape == want.shape == (1, 9, 2, 16)
+    assert got.shape == want.shape == (9, 2, 16)
     assert np.abs(got - want).max() <= 1e-12
     assert set(got_grads) == set(want_grads) == {k for k in m.learnable_params
                                                  if k.startswith("resampler/")}
@@ -469,14 +472,13 @@ def test_cached_decode_context_error_at_same_step(monkeypatch):
 def test_cached_decode_encodes_each_media_once(monkeypatch):
     m, ids, feats, pos = decode_inputs(0, n_media=3)
     # the items share one padded call, so count the items each call encodes:
-    # the leading dim of a batch, or 1 for an item on its own
+    # the leading dim of its batch
     items = {"vision_encode": 0, "resample": 0}
-    batch_ndim = {"vision_encode": 4, "resample": 3}
     for name in items:
         fn = getattr(cm, name)
 
         def counting(model, x, *rest, _fn=fn, _name=name):
-            items[_name] += x.shape[0] if len(x.shape) == batch_ndim[_name] else 1
+            items[_name] += x.shape[0]
             return _fn(model, x, *rest)
 
         monkeypatch.setattr(cm, name, counting)

@@ -16,7 +16,10 @@ TESTS = os.path.join(ROOT, "tests")
 
 
 def imported_third_party(directory: str) -> set[str]:
+    """Top-level modules imported in ``directory`` that are neither the
+    standard library, ``cosmo``, nor a module of the directory itself."""
     names = set()
+    local = {fname[:-3] for fname in os.listdir(directory) if fname.endswith(".py")}
     for fname in os.listdir(directory):
         if not fname.endswith(".py"):
             continue
@@ -27,7 +30,8 @@ def imported_third_party(directory: str) -> set[str]:
                 names.update(a.name.split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return {n for n in names if n not in sys.stdlib_module_names and n != "cosmo"}
+    return {n for n in names
+            if n not in sys.stdlib_module_names and n != "cosmo" and n not in local}
 
 
 def declared(extra: str | None = None) -> set[str]:

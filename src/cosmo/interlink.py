@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import urllib.request
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,6 +202,8 @@ class HttpAnnotator:
         self.timeout = timeout
 
     def summarize(self, prompt: str) -> str:
+        import urllib.request  # loads ssl: not paid by a run that never posts
+
         req = urllib.request.Request(
             self.endpoint, data=json.dumps({"prompt": prompt}).encode(),
             headers={"Content-Type": "application/json"}, method="POST")

@@ -50,6 +50,10 @@ class ModelConfig:
     max_seq: int = 256
 
     def validate(self) -> None:
+        for name in ("vocab_size", "d_model", "n_heads", "n_latents", "d_vision",
+                     "n_patches", "d_embed_contrastive", "max_seq"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.split_index < self.n_layers_total:
             raise ValueError(
                 f"split_index must satisfy 0 < split_index < n_layers_total, "

@@ -75,6 +75,12 @@ class TrainConfig:
         self.betas = tuple(self.betas)
         if self.lr_max <= 0:
             raise ValueError("lr_max must be > 0")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+        if not all(0 <= b < 1 for b in self.betas):
+            raise ValueError(f"betas must lie in [0, 1), got {self.betas}")
         if self.schedule not in ("cosine", "constant"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.loader_strategy not in ("round_robin", "min", "max"):

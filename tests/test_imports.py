@@ -1,6 +1,6 @@
-"""The package needs numpy alone: with scipy made unimportable, every
-module imports and the noisy-matching shard driver, the one place that
-solves an assignment, still runs."""
+"""What importing the package costs. It needs numpy alone: with scipy made
+unimportable, every module imports and the noisy-matching shard driver, the
+one place that solves an assignment, still runs. And no module loads ssl."""
 
 import os
 import subprocess
@@ -31,11 +31,29 @@ print(report["d0"]["assignment"], [s.text for s in out[0].text_spans()])
 """
 
 
-def test_cosmo_runs_without_scipy():
+def _run(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    ``cosmo`` from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", CODE], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cosmo_runs_without_scipy():
+    out = _run(CODE)
     # image 0's best text scores below the threshold, so it is re-captioned
     assert out.strip() == "[[0, 1], [1, 0]] ['a cat', 'a generated caption']"
+
+
+def test_importing_cosmo_loads_no_ssl():
+    # urllib.request loads ssl (about 5 MB of RSS); only HttpAnnotator needs it
+    out = _run("""
+import importlib, pkgutil, sys
+import cosmo
+for module in pkgutil.iter_modules(cosmo.__path__):
+    importlib.import_module("cosmo." + module.name)
+print(sorted({"ssl", "urllib.request"} & set(sys.modules)))
+""")
+    assert out.strip() == "[]"

@@ -75,6 +75,17 @@ def test_invalid_config_messages():
         cm.build(toy_config(temperature=0.0), seed=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("vocab_size", 0), ("d_model", 0), ("n_heads", 0), ("n_heads", -2),
+    ("n_latents", 0), ("d_vision", 0), ("n_patches", 0),
+    ("d_embed_contrastive", 0), ("max_seq", 0)])
+def test_size_fields_below_one_rejected_at_build(name, value):
+    # n_heads=0 used to divide by zero in validate, n_heads=-2 to build and
+    # fail at the first forward, n_latents=0 to fail in the first fusion layer
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        cm.build(toy_config(**{name: value}), seed=0)
+
+
 # -- parameter counting -----------------------------------------------------
 
 def closed_form_learnable(cfg: ModelConfig) -> int:

@@ -85,6 +85,20 @@ def test_default_config_has_no_warmup_and_two_schedules():
             TrainConfig(schedule=name)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("batch_size", 0, "batch_size must be >= 1"),
+    ("warmup_steps", -1, "warmup_steps must be >= 0"),
+    ("betas", (1.0, 0.999), r"betas must lie in \[0, 1\)"),
+    ("betas", (0.9, 1.0), r"betas must lie in \[0, 1\)"),
+    ("betas", (-0.1, 0.999), r"betas must lie in \[0, 1\)")])
+def test_train_config_rejects_out_of_range(field, value, message):
+    # batch_size 0 used to divide by zero in DataSource.n_batches, warmup -1
+    # to shift the cosine schedule silently, and beta 1 to divide by zero in
+    # Adam's bias correction
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+
+
 # -- guard -------------------------------------------------------------------
 
 def test_guard_scale_to_ema():

@@ -202,7 +202,7 @@ class HttpAnnotator:
         self.timeout = timeout
 
     def summarize(self, prompt: str) -> str:
-        import urllib.request  # loads ssl: not paid by a run that never posts
+        import urllib.request  # here, as it loads ssl, which no other path needs
 
         req = urllib.request.Request(
             self.endpoint, data=json.dumps({"prompt": prompt}).encode(),

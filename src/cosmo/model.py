@@ -238,8 +238,8 @@ def encode_text_unimodal(model: Model, token_ids, cache: dict | None = None,
 
 
 def vision_encode(model: Model, rows: np.ndarray) -> Tensor:
-    """Frozen vision pathway over a batch [n, rows, d_vision] of feature rows:
-    [n, rows, d_vision], deterministic, carries no gradient."""
+    """Frozen vision pathway, row by row, over feature rows [n, rows,
+    d_vision] to [n, rows, d_vision]; deterministic, carries no gradient."""
     x = Tensor(rows)
     if x.ndim != 3 or x.shape[-1] != model.config.d_vision:
         raise ValueError(

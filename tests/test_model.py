@@ -80,8 +80,8 @@ def test_invalid_config_messages():
     ("n_latents", 0), ("d_vision", 0), ("n_patches", 0),
     ("d_embed_contrastive", 0), ("max_seq", 0)])
 def test_size_fields_below_one_rejected_at_build(name, value):
-    # n_heads=0 used to divide by zero in validate, n_heads=-2 to build and
-    # fail at the first forward, n_latents=0 to fail in the first fusion layer
+    # unchecked, n_heads=0 divides by zero in validate, n_heads=-2 builds and
+    # fails at the first forward, and n_latents=0 fails in a fusion layer
     with pytest.raises(ValueError, match=f"{name} must be >= 1"):
         cm.build(toy_config(**{name: value}), seed=0)
 

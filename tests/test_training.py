@@ -92,8 +92,8 @@ def test_default_config_has_no_warmup_and_two_schedules():
     ("betas", (0.9, 1.0), r"betas must lie in \[0, 1\)"),
     ("betas", (-0.1, 0.999), r"betas must lie in \[0, 1\)")])
 def test_train_config_rejects_out_of_range(field, value, message):
-    # batch_size 0 used to divide by zero in DataSource.n_batches, warmup -1
-    # to shift the cosine schedule silently, and beta 1 to divide by zero in
+    # unchecked, batch_size 0 divides by zero in DataSource.n_batches, warmup
+    # -1 shifts the cosine schedule silently, and beta 1 divides by zero in
     # Adam's bias correction
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{field: value})

@@ -1,5 +1,5 @@
 """What importing the package costs. It needs numpy alone: with scipy made
-unimportable, every module imports and the noisy-matching shard driver, the
+unimportable, every module imports and the noisy-matching ``prep_shard``, the
 one place that solves an assignment, still runs. And no module loads ssl."""
 
 import os

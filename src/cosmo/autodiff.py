@@ -163,14 +163,14 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def _ln_forward(x: np.ndarray, axis: int, eps: float, gain: np.ndarray | None,
+def _ln_forward(x: np.ndarray, axis: int, gain: np.ndarray | None,
                 bias: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(y · gain + bias, y, std) for y = x normalized along ``axis``."""
     n = x.shape[axis]
     # sums over n, as np.mean and np.var form them, without their overhead
     mu = x.sum(axis=axis, keepdims=True) / n
     centred = x - mu
-    std = np.sqrt((centred * centred).sum(axis=axis, keepdims=True) / n + eps)
+    std = np.sqrt((centred * centred).sum(axis=axis, keepdims=True) / n + LN_EPS)
     y = centred / std
     out = y
     if gain is not None:
@@ -373,9 +373,10 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _emit("softmax", (a,), y, vjp)
 
 
-def layer_norm(a: Tensor, axis: int = -1, eps: float = LN_EPS,
-               gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
-    """Normalize to zero mean / unit variance along one axis, then multiply by
+def layer_norm(a: Tensor, axis: int = -1, gain: Tensor | None = None,
+               bias: Tensor | None = None) -> Tensor:
+    """Normalize to zero mean / unit variance along one axis, adding
+    ``LN_EPS`` to the variance as the fused kernels do, then multiply by
     ``gain`` and add ``bias`` where given: one node for ``y * gain + bias``."""
     a = _as_tensor(a)
     gain = None if gain is None else _as_tensor(gain)
@@ -383,7 +384,7 @@ def layer_norm(a: Tensor, axis: int = -1, eps: float = LN_EPS,
     gd = None if gain is None else gain.data
     bd = None if bias is None else bias.data
     try:
-        out, y, std = _ln_forward(a.data, axis, eps, gd, bd)
+        out, y, std = _ln_forward(a.data, axis, gd, bd)
     except ValueError:
         raise ShapeError(f"layer_norm: gain or bias does not broadcast to {a.shape}")
     inputs = tuple(t for t in (a, gain, bias) if t is not None)
@@ -588,7 +589,7 @@ def decoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, wq: Tensor, wk: Tenso
     if hidden is not None:
         hidden = np.asarray(hidden, dtype=bool)
     try:
-        z1, y1, std1 = _ln_forward(x.data, -1, LN_EPS, ln1_g, ln1_b)
+        z1, y1, std1 = _ln_forward(x.data, -1, ln1_g, ln1_b)
         q = _split_heads(z1 @ wq, n_heads)
         k = _split_heads(z1 @ wk, n_heads)
         v = _split_heads(z1 @ wv, n_heads)
@@ -598,7 +599,7 @@ def decoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, wq: Tensor, wk: Tenso
         att, p = _attention_forward(q, k, v, c, hidden)
         merged = _join_heads(att)
         h = x.data + merged @ wo
-        z2, y2, std2 = _ln_forward(h, -1, LN_EPS, ln2_g, ln2_b)
+        z2, y2, std2 = _ln_forward(h, -1, ln2_g, ln2_b)
         pre = z2 @ w1 + b1
         act, tanh_pre = _gelu_forward(pre)
         out = h + (act @ w2 + b2)
@@ -680,7 +681,7 @@ def gated_cross_attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, down: Tensor,
     (ln_g, ln_b, down, wq, wk, wv, up, gate, vis) = (w.data for w in ws)
     hidden = np.asarray(hidden, dtype=bool)
     try:
-        xh, y, std = _ln_forward(x.data, -1, LN_EPS, ln_g, ln_b)
+        xh, y, std = _ln_forward(x.data, -1, ln_g, ln_b)
         xb = xh @ down
         q = xb @ wq
         k, v = (vis @ wk, vis @ wv) if kv is None else kv

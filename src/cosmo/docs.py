@@ -183,6 +183,7 @@ class Window:
 
 
 MAX_SHIFT = 8
+MIN_WINDOW = 8
 
 
 def sample_window(doc_tokens: list[int], media_slice: list[tuple[int, int]],
@@ -193,8 +194,8 @@ def sample_window(doc_tokens: list[int], media_slice: list[tuple[int, int]],
     truncates at the document end; padding happens at batch time. The mask
     is ``loss_mask`` of the window.
     """
-    if L < 8:
-        raise ValueError(f"window length must be >= 8, got {L}")
+    if L < MIN_WINDOW:
+        raise ValueError(f"window length must be >= {MIN_WINDOW}, got {L}")
     n = len(doc_tokens)
     if not media_slice:
         ids = doc_tokens[:L]

@@ -29,14 +29,14 @@ MMC4_BASELINE_THRESHOLD = 0.24
 
 
 def perturb(scores: np.ndarray, rng: np.random.Generator,
-            sigma: float = DEFAULT_SIGMA, clamp: float = DEFAULT_CLAMP
-            ) -> np.ndarray:
+            sigma: float = DEFAULT_SIGMA) -> np.ndarray:
     """Return scores + zero-mean Gaussian noise with every entry clipped to
-    [-clamp, clamp]; the input matrix is untouched."""
-    if sigma <= 0 or clamp <= 0:
-        raise ValueError("sigma and clamp must be positive")
+    [-DEFAULT_CLAMP, DEFAULT_CLAMP]; the input matrix is untouched."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
     scores = np.asarray(scores, dtype=np.float64)
-    return scores + np.clip(rng.normal(0.0, sigma, size=scores.shape), -clamp, clamp)
+    return scores + np.clip(rng.normal(0.0, sigma, size=scores.shape),
+                            -DEFAULT_CLAMP, DEFAULT_CLAMP)
 
 
 def _assign(cost: list[list[float]]) -> list[int]:
@@ -240,16 +240,19 @@ def _unmatchable(doc: Document, raw) -> tuple[str | None, np.ndarray | None]:
 
 
 def prep_shard(docs_in: list[Document], sims: dict[str, list[list[float]]],
-               captioner, rng: np.random.Generator,
-               sigma: float = DEFAULT_SIGMA, clamp: float = DEFAULT_CLAMP,
-               replace_below: float = DEFAULT_REPLACE_BELOW,
-               min_image_px: int | None = None,
-               mode: str = "replace") -> tuple[list[Document], dict[str, dict]]:
-    """Noisy-match and repair each document. One that cannot be matched is
-    quarantined: its report entry records the reason and it is left out of
-    the output. That is a document with no media or no text spans, or one
-    whose similarity matrix is missing, is not a rectangular array of
-    finite numbers, or is not shaped [media, text spans]."""
+               captioner, rng: np.random.Generator
+               ) -> tuple[list[Document], dict[str, dict]]:
+    """Noisy-match and repair each document by the fixed rule: match under
+    the default noise, then replace the text of each image scoring below
+    ``DEFAULT_REPLACE_BELOW`` with a generated caption. The MMC4 drop
+    baseline and the image-size filter are per-document settings of
+    ``filter_and_replace``.
+
+    A document that cannot be matched is quarantined: its report entry
+    records the reason and it is left out of the output. That is a document
+    with no media or no text spans, or one whose similarity matrix is
+    missing, is not a rectangular array of finite numbers, or is not shaped
+    [media, text spans]."""
     out_docs: list[Document] = []
     report: dict[str, dict] = {}
     for doc in docs_in:
@@ -257,9 +260,8 @@ def prep_shard(docs_in: list[Document], sims: dict[str, list[list[float]]],
         if reason is not None:
             report[doc.doc_id] = PrepRecord(dropped=True, reason=reason).to_dict()
             continue
-        assignment = match(perturb(scores, rng, sigma, clamp))
-        new_doc, rec = filter_and_replace(doc, scores, assignment, captioner,
-                                          replace_below, min_image_px, mode)
+        assignment = match(perturb(scores, rng))
+        new_doc, rec = filter_and_replace(doc, scores, assignment, captioner)
         report[doc.doc_id] = rec.to_dict()
         if new_doc is not None:
             out_docs.append(new_doc)

@@ -158,9 +158,9 @@ PROMPT_HEADER = (
     "Keep every noun and action mentioned in the ASR text. Stay concrete.\n")
 
 
-def build_prompt(history: list[str], ann: ClipAnnotation,
-                 history_window: int = DEFAULT_HISTORY) -> str:
-    """Byte-stable prompt: instructions, the clip's annotation, recent history."""
+def build_prompt(history: list[str], ann: ClipAnnotation) -> str:
+    """Byte-stable prompt: instructions, the clip's annotation and the last
+    ``DEFAULT_HISTORY`` summaries."""
     lines = [PROMPT_HEADER, "Shot annotation:",
              f"ASR: {ann.asr}", f"Caption: {ann.caption}"]
     if ann.dense_captions:
@@ -170,7 +170,7 @@ def build_prompt(history: list[str], ann: ClipAnnotation,
             lines.append(f"- [{box}] {dc.text}")
     if history:
         lines.append("History (most recent last):")
-        for i, h in enumerate(history[-history_window:], 1):
+        for i, h in enumerate(history[-DEFAULT_HISTORY:], 1):
             lines.append(f"{i}. {h}")
     lines.append("Write the next caption.")
     return "\n".join(lines)
@@ -235,8 +235,7 @@ def clip_media_features(seq: FrameFeatureSeq, lo: int, hi: int) -> np.ndarray:
 
 
 def annotate_video(seq: FrameFeatureSeq, clip_annotations: list[ClipAnnotation],
-                   client, history_window: int = DEFAULT_HISTORY,
-                   source_id: str = "video"):
+                   client, source_id: str = "video"):
     """Summarize clips in order, threading history; returns (Document, quarantine).
 
     Failed clips are skipped (recorded with a reason) and leave the history
@@ -256,7 +255,7 @@ def annotate_video(seq: FrameFeatureSeq, clip_annotations: list[ClipAnnotation],
                 clip=ci, reason=f"clip_range {ann.clip_range} is not a non-empty "
                                 f"range of {n_frames} frames"))
             continue
-        prompt = build_prompt(history, ann, history_window=history_window)
+        prompt = build_prompt(history, ann)
         try:
             summary = client.summarize(prompt)
         except Exception as e:  # noqa: BLE001

@@ -48,17 +48,15 @@ class SyntheticTaskSpec:
             raise ValueError("not enough distinct words for that many classes")
 
 
-def sample_prototypes(rng: np.random.Generator, n: int, d: int,
-                      max_cos: float = 0.5, tries: int = 1000) -> np.ndarray:
-    """Unit vectors with pairwise |cosine| below max_cos, by rejection."""
-    for _ in range(tries):
+def sample_prototypes(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """Unit vectors with pairwise |cosine| below 0.5, by rejection."""
+    for _ in range(1000):
         protos = rng.normal(size=(n, d))
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
         gram = np.abs(protos @ protos.T - np.eye(n))
-        if gram.max() < max_cos:
+        if gram.max() < 0.5:
             return protos
-    raise RuntimeError(f"could not sample {n} prototypes at cosine < {max_cos} "
-                       f"in d={d}")
+    raise RuntimeError(f"could not sample {n} prototypes at cosine < 0.5 in d={d}")
 
 
 @dataclass

@@ -3,9 +3,11 @@
 One accumulation cycle visits every data source (one batch each, under the
 min/max strategies), weights each source's loss, and applies a single
 clipped AdamW update to the learnable parameters. Anomalous batches are
-caught by an EMA guard: non-finite losses are skipped outright, finite
-spikes are scaled back down to the running average once that average has
-seen a few accepted values.
+caught by an EMA guard. Non-finite losses are skipped outright. A finite
+value above ``GUARD_SPIKE_FACTOR`` times its sub-loss's running average (a
+bias-corrected EMA with decay ``GUARD_EMA_DECAY``) is scaled back down to
+that average; over a sub-loss's first ``GUARD_WARMUP`` accepted values the
+threshold is ``GUARD_WARMUP_SLACK`` times wider.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from . import autodiff as ad
 from . import model as cm
 from .autodiff import Tape, Tensor
 from .checkpoint import ArchiveError, load_archive, save_archive
-from .docs import Vocab, loss_mask, read_shard, sample_window, serialize
+from .docs import (MIN_WINDOW, Vocab, loss_mask, read_shard, sample_window,
+                   serialize)
 
 PAIRED_TYPES = ("image_text", "video_text")
 DATA_TYPES = ("image_text", "video_text", "interleaved_image", "interleaved_video")
@@ -44,52 +47,37 @@ class SourceSpec:
 
 
 @dataclass
-class GuardConfig:
-    ema_decay: float = 0.99
-    spike_factor: float = 2.0
-
-    def __post_init__(self):
-        if self.spike_factor <= 1:
-            raise ValueError("spike_factor must be > 1")
-
-
-@dataclass
 class TrainConfig:
     lr_max: float = 5e-4
     schedule: str = "cosine"  # cosine | constant
     warmup_steps: int = 0
     max_steps: int = 1000
-    betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 0.1
     grad_clip: float = 1.0
     batch_size: int = 4
     loader_strategy: str = "min"  # round_robin | min | max
     lambda_contrastive: float = 1.0  # against the LM loss, whose weight is 1
     window_len: int = 128
-    guard: GuardConfig = field(default_factory=GuardConfig)
     checkpoint_every: int = 0  # 0: only at the end
 
     def __post_init__(self):
-        if isinstance(self.guard, dict):
-            self.guard = GuardConfig(**self.guard)
-        self.betas = tuple(self.betas)
         if self.lr_max <= 0:
             raise ValueError("lr_max must be > 0")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-        if not all(0 <= b < 1 for b in self.betas):
-            raise ValueError(f"betas must lie in [0, 1), got {self.betas}")
+        if self.window_len < MIN_WINDOW:
+            raise ValueError(f"window_len must be >= {MIN_WINDOW}, got {self.window_len}")
+        if self.lambda_contrastive < 0:
+            raise ValueError(f"lambda_contrastive must be >= 0, got "
+                             f"{self.lambda_contrastive}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.schedule not in ("cosine", "constant"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.loader_strategy not in ("round_robin", "min", "max"):
             raise ValueError(f"unknown loader strategy {self.loader_strategy!r}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["betas"] = list(self.betas)
-        return d
 
 
 def lr_at(step: int, config: TrainConfig) -> float:
@@ -116,16 +104,16 @@ class GuardDecision:
     factor: float = 1.0
 
 
-# Accepted values a sub-loss needs before its running average judges spikes
-# with ``GuardConfig.spike_factor``: one batch says little about the spread of
-# the next. Until then a value counts as a spike only above
-# ``spike_factor * GUARD_WARMUP_SLACK`` times the average, so ordinary early
-# swings pass while a gross outlier still cannot enter the average.
+# The warm-up widening: one batch says little about the spread of the next,
+# so ordinary early swings pass while a gross outlier still cannot enter the
+# average.
+GUARD_EMA_DECAY = 0.99
+GUARD_SPIKE_FACTOR = 2.0
 GUARD_WARMUP = 3
 GUARD_WARMUP_SLACK = 5.0
 
 
-def guard(loss_value: float, average: float | None, config: GuardConfig,
+def guard(loss_value: float, average: float | None,
           warming_up: bool = False) -> GuardDecision:
     """Decide what to do with one sub-loss given its running average (None
     before the first accepted value, when only non-finite values are
@@ -133,7 +121,7 @@ def guard(loss_value: float, average: float | None, config: GuardConfig,
     ``GUARD_WARMUP_SLACK``."""
     if not math.isfinite(loss_value):
         return GuardDecision("skip", 0.0)
-    factor = config.spike_factor * (GUARD_WARMUP_SLACK if warming_up else 1.0)
+    factor = GUARD_SPIKE_FACTOR * (GUARD_WARMUP_SLACK if warming_up else 1.0)
     if average is not None and loss_value > factor * average and loss_value > 0:
         return GuardDecision("scale", average / loss_value)
     return GuardDecision("accept", 1.0)
@@ -238,6 +226,19 @@ class CycleLoader:
                              "cursor": s.cursor} for s in self.sources]}
 
     def set_state(self, st: dict) -> None:
+        """Restore what ``get_state`` saved, which must fit these sources."""
+        n = len(self.sources)
+        if len(st["sources"]) != n:
+            raise ValueError(f"loader state holds {len(st['sources'])} sources, "
+                             f"the loader {n}")
+        if not 0 <= st["rr_next"] < n:
+            raise ValueError(f"loader state rr_next {st['rr_next']} is out of "
+                             f"range for {n} sources")
+        for s, ss in zip(self.sources, st["sources"]):
+            if ss["perm"] is not None and len(ss["perm"]) != len(s.docs):
+                raise ValueError(f"loader state perm of source {s.spec.name!r} has "
+                                 f"{len(ss['perm'])} entries, the source "
+                                 f"{len(s.docs)} documents")
         self._rr_next = st["rr_next"]
         for s, ss in zip(self.sources, st["sources"]):
             s.perm = None if ss["perm"] is None else np.asarray(ss["perm"])
@@ -295,6 +296,9 @@ def init_state(model: cm.Model, seed: int) -> TrainState:
     return state
 
 
+ADAM_BETAS = (0.9, 0.999)
+
+
 def _no_decay(name: str) -> bool:
     return "/ln_" in name or name.endswith("gate") or name.endswith("log_scale")
 
@@ -318,7 +322,7 @@ def adamw_update(model: cm.Model, state: TrainState, lr: float,
                  config: TrainConfig) -> None:
     """One AdamW step. A parameter is bias-corrected by its own count of
     updates, so one that sat out some steps resumes with a fresh-sized step."""
-    b1, b2 = config.betas
+    b1, b2 = ADAM_BETAS
     state.opt_steps += 1
     for name, p in model.learnable_params.items():
         g = p.grad
@@ -400,10 +404,9 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
                 key = f"{spec.data_type}/{kind}"
                 n = state.guard_counts.get(key, 0)
                 # the bias-corrected EMA, as Adam corrects its moments
-                average = (state.emas[key] / (1.0 - config.guard.ema_decay ** n)
+                average = (state.emas[key] / (1.0 - GUARD_EMA_DECAY ** n)
                            if n else None)
-                decision = guard(value, average, config.guard,
-                                 warming_up=n < GUARD_WARMUP)
+                decision = guard(value, average, warming_up=n < GUARD_WARMUP)
                 events.append(decision.action)
                 row["lm_loss" if kind == "lm" else "c_loss"] = value
                 if decision.action == "skip":
@@ -417,7 +420,7 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
                                          "kind": kind, "event": "scale",
                                          "factor": decision.factor})
                 state.emas[key] = update_ema(state.emas.get(key, 0.0), effective,
-                                             config.guard.ema_decay)
+                                             GUARD_EMA_DECAY)
                 state.guard_counts[key] = n + 1
                 parts.append(ad.scale(loss, lam))
             if parts:
@@ -449,8 +452,7 @@ def make_sources(specs: list[SourceSpec], vocab: Vocab,
 
 def train(model: cm.Model, sources: list[DataSource], config: TrainConfig,
           out_dir: str, vocab: Vocab, state: TrainState | None = None,
-          loader_state: dict | None = None, loss_hook=None,
-          metrics_name: str = "metrics.ndjson") -> TrainState:
+          loader_state: dict | None = None, loss_hook=None) -> TrainState:
     """Train until max_steps; writes an ndjson metric stream and checkpoints."""
     os.makedirs(out_dir, exist_ok=True)
     if state is None:
@@ -461,7 +463,7 @@ def train(model: cm.Model, sources: list[DataSource], config: TrainConfig,
     else:
         loader.start_epoch(state.rng)
     mode = "a" if state.step > 0 else "w"
-    with open(os.path.join(out_dir, metrics_name), mode) as mf:
+    with open(os.path.join(out_dir, "metrics.ndjson"), mode) as mf:
         while state.step < config.max_steps:
             cycle = loader.next_cycle(state.rng)
             if cycle is EPOCH_END:
@@ -494,7 +496,7 @@ def save_checkpoint(path: str, model: cm.Model, state: TrainState,
         "seed": model.seed,
         "step": state.step,
         "train": {
-            "config": config.to_dict(),
+            "config": asdict(config),
             "opt_steps": state.opt_steps,
             "param_steps": state.param_steps,
             "emas": state.emas,
@@ -508,36 +510,48 @@ def save_checkpoint(path: str, model: cm.Model, state: TrainState,
     save_archive(path, manifest, arrays)
 
 
+def _require(d: dict, keys: list[str] | tuple[str, ...], what: str) -> None:
+    """Raise ``ArchiveError`` naming the first of ``keys`` that ``d`` lacks."""
+    for key in keys:
+        if key not in d:
+            raise ArchiveError(f"{what} lacks field {key!r}")
+
+
 def _check_fields(cls, d: dict, what: str) -> None:
     """Raise ``ArchiveError`` naming a field of ``d`` that the dataclass
     ``cls`` lacks, or one of ``cls`` that ``d`` lacks: such a checkpoint was
     written by another version of the config."""
-    names = {f.name for f in fields(cls)}
-    unknown, missing = sorted(set(d) - names), sorted(names - set(d))
+    names = sorted(f.name for f in fields(cls))
+    unknown = sorted(set(d) - set(names))
     if unknown:
         raise ArchiveError(f"{what} has unknown field {unknown[0]!r}")
-    if missing:
-        raise ArchiveError(f"{what} lacks field {missing[0]!r}")
+    _require(d, names, what)
+
+
+def _array(arrays: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    """The checkpoint's array ``name``, which must have the model's ``shape``."""
+    if name not in arrays:
+        raise ArchiveError(f"checkpoint missing array {name}")
+    if arrays[name].shape != shape:
+        raise ArchiveError(f"shape mismatch for {name}: checkpoint "
+                           f"{arrays[name].shape} vs model {shape}")
+    return arrays[name]
 
 
 def load_checkpoint(path: str) -> tuple[cm.Model, TrainState, TrainConfig,
                                         Vocab, dict | None]:
     manifest, arrays = load_archive(path)
+    _require(manifest, ("config", "seed", "step", "train", "vocab"), "manifest")
     tr = manifest["train"]
+    _require(tr, ("config", "opt_steps", "param_steps", "emas", "guard_counts",
+                  "events", "rng_state"), "manifest 'train'")
     _check_fields(cm.ModelConfig, manifest["config"], "model config")
     _check_fields(TrainConfig, tr["config"], "train config")
-    _check_fields(GuardConfig, tr["config"]["guard"], "guard config")
     config = cm.ModelConfig(**manifest["config"])
     model = cm.build(config, seed=manifest["seed"])
     for name, p in list(model.frozen_params.items()) + \
             list(model.learnable_params.items()):
-        if name not in arrays:
-            raise ArchiveError(f"checkpoint missing parameter {name}")
-        if arrays[name].shape != p.shape:
-            raise ArchiveError(
-                f"shape mismatch for {name}: checkpoint {arrays[name].shape} "
-                f"vs model {p.shape}")
-        p.data = arrays[name]
+        p.data = _array(arrays, name, p.shape)
     state = TrainState(step=manifest["step"], opt_steps=tr["opt_steps"],
                        param_steps=dict(tr["param_steps"]),
                        emas=dict(tr["emas"]), guard_counts=dict(tr["guard_counts"]),
@@ -545,9 +559,9 @@ def load_checkpoint(path: str) -> tuple[cm.Model, TrainState, TrainConfig,
     rng = np.random.default_rng(0)
     rng.bit_generator.state = tr["rng_state"]
     state.rng = rng
-    for name in model.learnable_params:
-        state.adam_m[name] = arrays["optim/m/" + name]
-        state.adam_v[name] = arrays["optim/v/" + name]
+    for name, p in model.learnable_params.items():
+        state.adam_m[name] = _array(arrays, "optim/m/" + name, p.shape)
+        state.adam_v[name] = _array(arrays, "optim/v/" + name, p.shape)
     train_config = TrainConfig(**tr["config"])
     vocab = Vocab.from_dict(manifest["vocab"])
     return model, state, train_config, vocab, tr.get("loader")

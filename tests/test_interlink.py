@@ -192,7 +192,7 @@ def test_first_prompt_has_no_history():
 
 def test_history_window_holds_last_three():
     history = [f"summary {i}" for i in range(5)]  # clips 0..4 summarized
-    p = build_prompt(history, ann(5), history_window=3)
+    p = build_prompt(history, ann(5))
     assert "summary 2" in p and "summary 3" in p and "summary 4" in p
     assert "summary 1" not in p
     i2, i3, i4 = (p.index(f"summary {i}") for i in (2, 3, 4))

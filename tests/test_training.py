@@ -11,8 +11,8 @@ from cosmo import model as cm
 from cosmo import training as tr
 from cosmo.autodiff import Tensor
 from cosmo.docs import Document, MediaItem, MediaRef, TextSpan, build_vocab, write_shard
-from cosmo.training import (EPOCH_END, CycleLoader, DataSource, GuardConfig,
-                            SourceSpec, TrainConfig, guard, lr_at)
+from cosmo.training import (EPOCH_END, CycleLoader, DataSource, SourceSpec,
+                            TrainConfig, guard, lr_at)
 
 
 def cfg(**kw):
@@ -88,13 +88,14 @@ def test_default_config_has_no_warmup_and_two_schedules():
 @pytest.mark.parametrize("field, value, message", [
     ("batch_size", 0, "batch_size must be >= 1"),
     ("warmup_steps", -1, "warmup_steps must be >= 0"),
-    ("betas", (1.0, 0.999), r"betas must lie in \[0, 1\)"),
-    ("betas", (0.9, 1.0), r"betas must lie in \[0, 1\)"),
-    ("betas", (-0.1, 0.999), r"betas must lie in \[0, 1\)")])
+    ("window_len", 4, "window_len must be >= 8"),
+    ("lambda_contrastive", -1.0, "lambda_contrastive must be >= 0"),
+    ("weight_decay", -0.1, "weight_decay must be >= 0")])
 def test_train_config_rejects_out_of_range(field, value, message):
     # unchecked, batch_size 0 divides by zero in DataSource.n_batches, warmup
-    # -1 shifts the cosine schedule silently, and beta 1 divides by zero in
-    # Adam's bias correction
+    # -1 shifts the cosine schedule silently, a window below 8 tokens fails
+    # only at the first windowed sample, a negative lambda maximizes the
+    # contrastive loss, and a negative weight decay grows the weights
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{field: value})
 
@@ -102,29 +103,28 @@ def test_train_config_rejects_out_of_range(field, value, message):
 # -- guard -------------------------------------------------------------------
 
 def test_guard_scale_to_ema():
-    d = guard(5.0, 1.0, GuardConfig(spike_factor=2.0))
+    d = guard(5.0, 1.0)
     assert d.action == "scale"
     assert abs(d.factor - 0.2) < 1e-15
-    # while a key warms up, only a value above spike_factor * slack is a spike
-    wide = 2.0 * tr.GUARD_WARMUP_SLACK
-    assert guard(5.0, 1.0, GuardConfig(spike_factor=2.0), warming_up=True).action == "accept"
-    d = guard(2 * wide, 1.0, GuardConfig(spike_factor=2.0), warming_up=True)
+    # while a key warms up, only a value above factor * slack is a spike
+    wide = tr.GUARD_SPIKE_FACTOR * tr.GUARD_WARMUP_SLACK
+    assert guard(5.0, 1.0, warming_up=True).action == "accept"
+    d = guard(2 * wide, 1.0, warming_up=True)
     assert d.action == "scale" and abs(d.factor - 1 / (2 * wide)) < 1e-15
 
 
 def test_guard_skips_nan_and_inf():
-    g = GuardConfig()
-    assert guard(float("nan"), 1.0, g).action == "skip"
-    assert guard(float("inf"), 1.0, g).action == "skip"
+    assert guard(float("nan"), 1.0).action == "skip"
+    assert guard(float("inf"), 1.0).action == "skip"
 
 
 def test_guard_accepts_mild_increase():
-    d = guard(1.1, 1.0, GuardConfig(spike_factor=2.0))
+    d = guard(1.1, 1.0)
     assert d.action == "accept"
 
 
 def test_guard_first_batch_accepts():
-    assert guard(7.0, None, GuardConfig()).action == "accept"
+    assert guard(7.0, None).action == "accept"
 
 
 def test_guard_accepts_ordinary_contrastive_swings(tiny_setup):
@@ -167,14 +167,9 @@ def test_guard_scales_gross_spike_during_warmup(tiny_setup):
     assert [(e["step"], e["kind"]) for e in scales] == [
         (1, "contrastive"), (4, "contrastive")]
     assert abs(scales[0]["factor"] - 2.0 / 1e6) < 1e-15
-    decay = config.guard.ema_decay
-    average = state.emas["image_text/contrastive"] / (1.0 - decay ** 5)
+    average = (state.emas["image_text/contrastive"]
+               / (1.0 - tr.GUARD_EMA_DECAY ** 5))
     assert abs(average - 2.0) < 1e-9
-
-
-def test_guard_config_validation():
-    with pytest.raises(ValueError):
-        GuardConfig(spike_factor=1.0)
 
 
 def test_ema_update():
@@ -246,6 +241,23 @@ def test_min_max_cycle_has_one_batch_per_source(tmp_path):
     loader.start_epoch(rng)
     c = loader.next_cycle(rng)
     assert [s.name for s, _ in c] == ["src0", "src1"]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda st: st["sources"].pop(), "loader state holds 2 sources, the loader 3"),
+    (lambda st: st["sources"][1]["perm"].pop(),
+     "perm of source 'src1' has 2 entries, the source 3 documents"),
+    (lambda st: st.update(rr_next=3), "rr_next 3 is out of range for 3 sources")],
+    ids=["source_count", "perm_length", "rr_next"])
+def test_loader_state_must_fit_sources(tmp_path, change, message):
+    vocab = build_vocab(["red widget"], max_size=300)
+    sources = make_sized_sources(tmp_path, vocab, [3, 3, 3])
+    loader = CycleLoader(sources, "round_robin")
+    loader.start_epoch(np.random.default_rng(0))
+    st = loader.get_state()
+    change(st)
+    with pytest.raises(ValueError, match=message):
+        CycleLoader(sources, "round_robin").set_state(st)
 
 
 def test_empty_source_rejected(tmp_path):
@@ -558,15 +570,40 @@ def test_checkpoint_config_field_mismatch_refused(tiny_setup, tmp_path):
     with pytest.raises(ArchiveError, match="train config has unknown field "
                                            "'contrastive_shards'"):
         tr.load_checkpoint(bad)
+    # an older manifest still carries the guard settings
     del manifest["train"]["config"]["contrastive_shards"]
-    del manifest["train"]["config"]["guard"]["ema_decay"]
+    manifest["train"]["config"]["guard"] = {"ema_decay": 0.99, "spike_factor": 2.0}
     save_archive(bad, manifest, arrays)
-    with pytest.raises(ArchiveError, match="guard config lacks field 'ema_decay'"):
+    with pytest.raises(ArchiveError, match="train config has unknown field 'guard'"):
         tr.load_checkpoint(bad)
-    manifest["train"]["config"]["guard"]["ema_decay"] = 0.99
+    del manifest["train"]["config"]["guard"]
     del manifest["config"]["n_latents"]
     save_archive(bad, manifest, arrays)
     with pytest.raises(ArchiveError, match="model config lacks field 'n_latents'"):
+        tr.load_checkpoint(bad)
+
+
+def test_checkpoint_missing_key_refused(tiny_setup, tmp_path):
+    vocab, specs, model, tmp = tiny_setup
+    config = cfg(max_steps=2)
+    tr.train(model, tr.make_sources(specs, vocab, config), config,
+             str(tmp / "out"), vocab)
+    from cosmo.checkpoint import load_archive, save_archive, ArchiveError
+    manifest, arrays = load_archive(str(tmp / "out" / "final.ckpt"))
+    bad = str(tmp_path / "bad.ckpt")
+    train = manifest.pop("train")
+    save_archive(bad, manifest, arrays)
+    with pytest.raises(ArchiveError, match="manifest lacks field 'train'"):
+        tr.load_checkpoint(bad)
+    manifest["train"] = {k: v for k, v in train.items() if k != "emas"}
+    save_archive(bad, manifest, arrays)
+    with pytest.raises(ArchiveError, match="manifest 'train' lacks field 'emas'"):
+        tr.load_checkpoint(bad)
+    manifest["train"] = train
+    del arrays["optim/m/resampler/latents"]
+    save_archive(bad, manifest, arrays)
+    with pytest.raises(ArchiveError,
+                       match="checkpoint missing array optim/m/resampler/latents"):
         tr.load_checkpoint(bad)
 
 

@@ -86,6 +86,8 @@ def golden() -> dict:
     return {
         "rows": [{k: row[k] for k in ROW_KEYS} for row in rows],
         "guard_events": state.events,
+        "guard_emas": state.emas,
+        "guard_counts": state.guard_counts,
         "learnable_sum_norm_first_last": params,
         "frozen_sha256": frozen.hexdigest(),
         "decode_single": single,

@@ -180,6 +180,7 @@ class Window:
     media_slice: list[tuple[int, int]]  # positions in window coordinates
     loss_mask: np.ndarray  # 1 where the token may serve as a prediction target
     anchor_media: int | None
+    start: int  # document position of token_ids[0]
 
 
 MAX_SHIFT = 8
@@ -188,30 +189,31 @@ MIN_WINDOW = 8
 
 def sample_window(doc_tokens: list[int], media_slice: list[tuple[int, int]],
                   L: int, rng: np.random.Generator) -> Window:
-    """Cut an L-token window anchored at a random media reference.
+    """Cut a window of at most L tokens anchored at a random media reference.
 
-    The window starts up to 8 tokens left of the anchor's placeholder and
-    truncates at the document end; padding happens at batch time. The mask
-    is ``loss_mask`` of the window.
+    A document that fits is kept whole. Otherwise the window starts up to 8
+    tokens left of the anchor's placeholder and truncates at the document
+    end; padding happens at batch time. The mask is ``loss_mask`` of the
+    window; ``start`` re-bases other document positions to it.
     """
     if L < MIN_WINDOW:
         raise ValueError(f"window length must be >= {MIN_WINDOW}, got {L}")
     n = len(doc_tokens)
     if not media_slice:
         ids = doc_tokens[:L]
-        return Window(ids, [], loss_mask(ids, [], 0), None)
+        return Window(ids, [], loss_mask(ids, [], 0), None, 0)
     k = int(rng.integers(len(media_slice)))
     anchor_pos, anchor_media = media_slice[k]
     if n <= L:  # the whole document fits: no cut, every media kept
         return Window(list(doc_tokens), list(media_slice),
-                      loss_mask(doc_tokens, media_slice, 0), anchor_media)
+                      loss_mask(doc_tokens, media_slice, 0), anchor_media, 0)
     shift = int(rng.integers(0, min(MAX_SHIFT, anchor_pos, L - 1) + 1))
     start = anchor_pos - shift
     ids = doc_tokens[start:start + L]
     window_media = [(p - start, m) for p, m in media_slice
                     if start <= p < start + len(ids)]
     return Window(ids, window_media, loss_mask(ids, media_slice, start),
-                  anchor_media)
+                  anchor_media, start)
 
 
 def loss_mask(ids: list[int], media_slice: list[tuple[int, int]],

@@ -1,13 +1,13 @@
 """Multi-source training loop with accumulation, schedules, and loss guards.
 
-One accumulation cycle visits every data source (one batch each, under the
-min/max strategies), weights each source's loss, and applies a single
-clipped AdamW update to the learnable parameters. Anomalous batches are
-caught by an EMA guard. Non-finite losses are skipped outright. A finite
-value above ``GUARD_SPIKE_FACTOR`` times its sub-loss's running average (a
-bias-corrected EMA with decay ``GUARD_EMA_DECAY``) is scaled back down to
-that average; over a sub-loss's first ``GUARD_WARMUP`` accepted values the
-threshold is ``GUARD_WARMUP_SLACK`` times wider.
+Every document, pairs included, is cut by ``sample_window``, so
+``window_len`` bounds every sample. One accumulation cycle visits every data
+source (one batch each, under the min/max strategies), weights each source's
+loss, and applies a single clipped AdamW update to the learnable parameters.
+``guard`` judges each sub-loss against its running average (a bias-corrected
+EMA, decay ``GUARD_EMA_DECAY``): it skips a non-finite value and scales one
+above ``GUARD_SPIKE_FACTOR`` times the average back down to it, with a
+threshold ``GUARD_WARMUP_SLACK`` times wider over the first ``GUARD_WARMUP``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from . import autodiff as ad
 from . import model as cm
 from .autodiff import Tape, Tensor
 from .checkpoint import ArchiveError, load_archive, save_archive
-from .docs import (MIN_WINDOW, Vocab, loss_mask, read_shard, sample_window,
-                   serialize)
+from .docs import MIN_WINDOW, Vocab, read_shard, sample_window, serialize
 
 PAIRED_TYPES = ("image_text", "video_text")
 DATA_TYPES = ("image_text", "video_text", "interleaved_image", "interleaved_video")
@@ -98,12 +97,6 @@ def lr_at(step: int, config: TrainConfig) -> float:
 # loss guard
 
 
-@dataclass
-class GuardDecision:
-    action: str  # accept | scale | skip
-    factor: float = 1.0
-
-
 # The warm-up widening: one batch says little about the spread of the next,
 # so ordinary early swings pass while a gross outlier still cannot enter the
 # average.
@@ -113,22 +106,24 @@ GUARD_WARMUP = 3
 GUARD_WARMUP_SLACK = 5.0
 
 
-def guard(loss_value: float, average: float | None,
-          warming_up: bool = False) -> GuardDecision:
-    """Decide what to do with one sub-loss given its running average (None
-    before the first accepted value, when only non-finite values are
-    caught). ``warming_up`` widens the spike threshold by
-    ``GUARD_WARMUP_SLACK``."""
-    if not math.isfinite(loss_value):
-        return GuardDecision("skip", 0.0)
-    factor = GUARD_SPIKE_FACTOR * (GUARD_WARMUP_SLACK if warming_up else 1.0)
-    if average is not None and loss_value > factor * average and loss_value > 0:
-        return GuardDecision("scale", average / loss_value)
-    return GuardDecision("accept", 1.0)
-
-
-def update_ema(ema: float, effective: float, decay: float) -> float:
-    return decay * ema + (1.0 - decay) * effective
+def guard(state: TrainState, key: str, value: float) -> float | None:
+    """The factor sub-loss ``key`` enters with at ``value``: None (skip) if
+    it is not finite, ``average / value`` for a spike, else 1.0. A kept value
+    enters ``state``'s average for ``key`` at its guarded size."""
+    if not math.isfinite(value):
+        return None
+    n = state.guard_counts.get(key, 0)
+    factor = 1.0
+    if n:  # before the first kept value there is no average to judge by
+        # the bias-corrected EMA, as Adam corrects its moments
+        average = state.emas[key] / (1.0 - GUARD_EMA_DECAY ** n)
+        slack = GUARD_WARMUP_SLACK if n < GUARD_WARMUP else 1.0
+        if value > GUARD_SPIKE_FACTOR * slack * average and value > 0:
+            factor = average / value
+    state.emas[key] = (GUARD_EMA_DECAY * state.emas.get(key, 0.0)
+                       + (1.0 - GUARD_EMA_DECAY) * (value * factor))
+    state.guard_counts[key] = n + 1
+    return factor
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +181,20 @@ class DataSource:
 
     def _make_sample(self, i: int, rng: np.random.Generator) -> Sample | None:
         tokens, media_slice, text_slice = self._serialized[i]
-        feats = [m.features for m in self.docs[i].media]
-        if self.spec.data_type in PAIRED_TYPES:
-            span = text_slice[0] if text_slice else None
-            if span is not None and span[0] == span[1]:
-                # the caption tokenized to nothing: there is no text to embed,
-                # so the sample keeps its LM loss and sits out the contrastive one
-                span = None
-            return Sample(tokens, feats, list(media_slice),
-                          loss_mask(tokens, media_slice, 0), text_span=span)
         w = sample_window(tokens, media_slice, self.window_len, rng)
         if len(w.token_ids) < 2 or w.loss_mask[1:].sum() == 0:
             return None
+        span = None
+        if self.spec.data_type in PAIRED_TYPES and text_slice:
+            # the caption in window coordinates; with no caption tokens in the
+            # window the sample keeps its LM loss and sits out the contrastive one
+            lo, hi = (min(max(p - w.start, 0), len(w.token_ids))
+                      for p in text_slice[0])
+            span = (lo, hi) if lo < hi else None
         media_used = sorted({m for _, m in w.media_slice})
         remap = {m: j for j, m in enumerate(media_used)}
-        positions = [(p, remap[m]) for p, m in w.media_slice]
-        return Sample(w.token_ids, [feats[m] for m in media_used], positions,
-                      w.loss_mask)
+        return Sample(w.token_ids, [self.docs[i].media[m].features for m in media_used],
+                      [(p, remap[m]) for p, m in w.media_slice], w.loss_mask, span)
 
 
 class CycleLoader:
@@ -391,7 +383,7 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
                "gates": list(gates), "logit_scale": scale}
         with Tape() as tape:
             parts = []
-            events = []
+            scaled = False
             sub = [("lm", 1.0, _batch_lm_loss(model, batch))]
             if config.lambda_contrastive:
                 c = _batch_contrastive(model, batch)
@@ -401,33 +393,23 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
                 if loss_hook is not None:
                     loss = loss_hook(state.step, spec.name, kind, loss)
                 value = float(loss.data)
-                key = f"{spec.data_type}/{kind}"
-                n = state.guard_counts.get(key, 0)
-                # the bias-corrected EMA, as Adam corrects its moments
-                average = (state.emas[key] / (1.0 - GUARD_EMA_DECAY ** n)
-                           if n else None)
-                decision = guard(value, average, warming_up=n < GUARD_WARMUP)
-                events.append(decision.action)
                 row["lm_loss" if kind == "lm" else "c_loss"] = value
-                if decision.action == "skip":
+                factor = guard(state, f"{spec.data_type}/{kind}", value)
+                if factor is None:
                     state.events.append({"step": state.step, "type": spec.name,
                                          "kind": kind, "event": "skip"})
                     continue
-                effective = value * decision.factor
-                if decision.action == "scale":
-                    loss = ad.scale(loss, decision.factor)
+                if factor != 1.0:
+                    loss = ad.scale(loss, factor)
+                    scaled = True
                     state.events.append({"step": state.step, "type": spec.name,
                                          "kind": kind, "event": "scale",
-                                         "factor": decision.factor})
-                state.emas[key] = update_ema(state.emas.get(key, 0.0), effective,
-                                             GUARD_EMA_DECAY)
-                state.guard_counts[key] = n + 1
+                                         "factor": factor})
                 parts.append(ad.scale(loss, lam))
             if parts:
                 ad.backward(ad.scale(ad.add_all(parts), spec.weight), tape)
                 any_accepted = True
-        row["guard_event"] = ("skip" if all(e == "skip" for e in events)
-                              else ("scale" if "scale" in events else "accept"))
+        row["guard_event"] = "scale" if scaled else "accept" if parts else "skip"
         metrics.append(row)
     if any_accepted:
         norm = clip_gradients(model, config.grad_clip)

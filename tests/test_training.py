@@ -10,7 +10,8 @@ from cosmo import autodiff as ad
 from cosmo import model as cm
 from cosmo import training as tr
 from cosmo.autodiff import Tensor
-from cosmo.docs import Document, MediaItem, MediaRef, TextSpan, build_vocab, write_shard
+from cosmo.docs import (VISUAL, Document, MediaItem, MediaRef, TextSpan, build_vocab,
+                        write_shard)
 from cosmo.training import (EPOCH_END, CycleLoader, DataSource, SourceSpec,
                             TrainConfig, guard, lr_at)
 
@@ -102,29 +103,43 @@ def test_train_config_rejects_out_of_range(field, value, message):
 
 # -- guard -------------------------------------------------------------------
 
+def kept(average, n=tr.GUARD_WARMUP):
+    """A TrainState whose key "k" holds ``n`` kept values averaging ``average``."""
+    return tr.TrainState(emas={"k": average * (1.0 - tr.GUARD_EMA_DECAY ** n)},
+                         guard_counts={"k": n})
+
+
 def test_guard_scale_to_ema():
-    d = guard(5.0, 1.0)
-    assert d.action == "scale"
-    assert abs(d.factor - 0.2) < 1e-15
+    state = kept(1.0)
+    assert abs(guard(state, "k", 5.0) - 0.2) < 1e-15
+    assert state.guard_counts == {"k": tr.GUARD_WARMUP + 1}
     # while a key warms up, only a value above factor * slack is a spike
     wide = tr.GUARD_SPIKE_FACTOR * tr.GUARD_WARMUP_SLACK
-    assert guard(5.0, 1.0, warming_up=True).action == "accept"
-    d = guard(2 * wide, 1.0, warming_up=True)
-    assert d.action == "scale" and abs(d.factor - 1 / (2 * wide)) < 1e-15
+    assert guard(kept(1.0, n=1), "k", 5.0) == 1.0
+    assert abs(guard(kept(1.0, n=1), "k", 2 * wide) - 1 / (2 * wide)) < 1e-15
 
 
 def test_guard_skips_nan_and_inf():
-    assert guard(float("nan"), 1.0).action == "skip"
-    assert guard(float("inf"), 1.0).action == "skip"
+    for value in (float("nan"), float("inf")):
+        state = kept(1.0)
+        assert guard(state, "k", value) is None
+        # a skipped value leaves the average alone
+        assert (state.emas, state.guard_counts) == (kept(1.0).emas,
+                                                    kept(1.0).guard_counts)
 
 
 def test_guard_accepts_mild_increase():
-    d = guard(1.1, 1.0)
-    assert d.action == "accept"
+    assert guard(kept(1.0), "k", 1.1) == 1.0
 
 
 def test_guard_first_batch_accepts():
-    assert guard(7.0, None).action == "accept"
+    state = tr.TrainState()
+    assert guard(state, "k", 7.0) == 1.0
+    # the EMA starts at 0 and takes (1 - decay) of each kept value
+    assert abs(state.emas["k"] - 0.07) < 1e-15
+    assert state.guard_counts == {"k": 1}
+    assert guard(state, "k", 2.0) == 1.0
+    assert abs(state.emas["k"] - (0.99 * 0.07 + 0.02)) < 1e-15
 
 
 def test_guard_accepts_ordinary_contrastive_swings(tiny_setup):
@@ -170,11 +185,6 @@ def test_guard_scales_gross_spike_during_warmup(tiny_setup):
     average = (state.emas["image_text/contrastive"]
                / (1.0 - tr.GUARD_EMA_DECAY ** 5))
     assert abs(average - 2.0) < 1e-9
-
-
-def test_ema_update():
-    assert abs(tr.update_ema(0.0, 2.0, 0.99) - 0.02) < 1e-15
-    assert abs(tr.update_ema(1.0, 2.0, 0.9) - 1.1) < 1e-15
 
 
 # -- cycles ------------------------------------------------------------------
@@ -391,6 +401,58 @@ def test_empty_caption_sits_out_contrastive(tiny_setup, caption):
     assert math.isfinite(rows[0]["lm_loss"]) and math.isfinite(rows[0]["c_loss"])
 
 
+def test_pair_longer_than_the_context_trains_in_a_window(tiny_setup):
+    # a 100-word caption serializes to 103 tokens, past max_seq 64: the pair
+    # is cut to the training window, and its caption span clipped to it
+    vocab, specs, model, tmp = tiny_setup
+    path = str(tmp / "long.jsonl")
+    write_pair_shard(path, 2, caption=" ".join(["red widget"] * 50))
+    config = cfg(window_len=32, max_steps=2)
+    sources = tr.make_sources([SourceSpec("long", "image_text", 1.0, [path])],
+                              vocab, config)
+    assert len(sources[0]._serialized[0][0]) > model.config.max_seq
+    state = tr.init_state(model, seed=0)
+    loader = CycleLoader(sources, "min")
+    loader.start_epoch(state.rng)
+    cycle = loader.next_cycle(state.rng)
+    (_, batch), = cycle
+    assert len(batch) == 2
+    for s in batch:
+        assert len(s.token_ids) <= config.window_len
+        lo, hi = s.text_span
+        assert 0 <= lo < hi == len(s.token_ids)
+        assert [s.token_ids[p] for p, _ in s.media_positions] == [VISUAL]
+    rows = tr.train_step(model, cycle, state, config)
+    assert math.isfinite(rows[0]["lm_loss"]) and math.isfinite(rows[0]["c_loss"])
+    assert rows[0]["guard_event"] == "accept"
+
+
+def test_pair_span_covers_the_caption_tokens_in_the_window(tiny_setup):
+    # the caption precedes the media here, so the window's left shift decides
+    # how much of it is kept; a window that keeps none gives no span
+    vocab, specs, model, tmp = tiny_setup
+    caption = vocab.tokenize("red widget")
+    doc = Document(segments=[TextSpan(" ".join(["red widget"] * 10)), MediaRef(0),
+                             TextSpan("blue gizmo")],
+                   media=[MediaItem("image", np.ones((1, 2, 8)))])
+    path = str(tmp / "late.jsonl")
+    write_shard([doc], path)
+    source = DataSource(SourceSpec("late", "image_text", 1.0, [path]), vocab,
+                        batch_size=1, window_len=8)
+    source.reset_epoch(np.random.default_rng(0))
+    spans = set()
+    for seed in range(40):
+        s = source._make_sample(0, np.random.default_rng(seed))
+        assert len(s.token_ids) <= 8
+        in_caption = [i for i, t in enumerate(s.token_ids) if t in caption]
+        if s.text_span is None:
+            assert in_caption == []
+        else:
+            assert in_caption == list(range(*s.text_span))
+        spans.add(s.text_span)
+    assert None in spans and len(spans) > 2
+
+
 def test_source_weight_scales_gradient(tiny_setup):
     vocab, specs, model0, tmp = tiny_setup
     config = cfg(grad_clip=0.0, max_steps=3)
@@ -513,8 +575,6 @@ def test_guard_integration_spikes_and_nans(tiny_setup):
     tr.train(model, sources, config, str(tmp / "out"), vocab, loss_hook=hook)
     for p in model.learnable_params.values():
         assert np.isfinite(p.data).all()
-    scale_steps = {e["step"] for e in
-                   [e for s in [0] for e in []]}  # placeholder removed below
     events = tr.load_checkpoint(str(tmp / "out" / "final.ckpt"))[1].events
     scales = {e["step"] for e in events if e.get("event") == "scale"}
     skips = {e["step"] for e in events if e.get("event") == "skip"}

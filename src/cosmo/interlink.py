@@ -34,6 +34,10 @@ class FrameFeatureSeq:
                              f"got {self.features.shape}")
         if len(self.timestamps) != len(self.features):
             raise ValueError("timestamps and features disagree on frame count")
+        finite = np.isfinite(self.features).all(axis=1) & np.isfinite(self.timestamps)
+        if not finite.all():
+            raise ValueError(f"frame {int(np.argmin(finite))} has a non-finite "
+                             f"feature or timestamp")
         if (np.diff(self.timestamps) <= 0).any():
             raise ValueError("timestamps must be strictly increasing")
 

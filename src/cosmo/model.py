@@ -69,8 +69,9 @@ class ModelConfig:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by compress_ratio "
                 f"{self.compress_ratio}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be > 0 and finite, got "
+                             f"{self.temperature}")
 
     def fusion_positions(self) -> list[int]:
         """Decoder-block indices that get a fusion layer in front of them."""

@@ -86,6 +86,10 @@ def kmeans(pairs: list[EmbeddedPair], k: int, max_iters: int = 50,
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     x = np.stack([np.asarray(p.embedding, dtype=np.float64) for p in pairs])
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"point {pairs[int(np.argmin(finite))].id!r} has a "
+                         f"non-finite embedding")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(x, k, rng)
     labels = np.full(n, -1)

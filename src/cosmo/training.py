@@ -41,8 +41,8 @@ class SourceSpec:
     def __post_init__(self):
         if self.data_type not in DATA_TYPES:
             raise ValueError(f"unknown data_type {self.data_type!r}")
-        if self.weight <= 0:
-            raise ValueError(f"source weight must be > 0, got {self.weight}")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"source weight must be > 0 and finite, got {self.weight}")
 
 
 @dataclass
@@ -60,19 +60,19 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: only at the end
 
     def __post_init__(self):
-        if self.lr_max <= 0:
-            raise ValueError("lr_max must be > 0")
+        # chained comparisons, so that NaN fails them too
+        if not 0 < self.lr_max < math.inf:
+            raise ValueError(f"lr_max must be > 0 and finite, got {self.lr_max}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.window_len < MIN_WINDOW:
             raise ValueError(f"window_len must be >= {MIN_WINDOW}, got {self.window_len}")
-        if self.lambda_contrastive < 0:
-            raise ValueError(f"lambda_contrastive must be >= 0, got "
-                             f"{self.lambda_contrastive}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for name in ("lambda_contrastive", "weight_decay", "grad_clip"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got "
+                                 f"{getattr(self, name)}")
         if self.schedule not in ("cosine", "constant"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.loader_strategy not in ("round_robin", "min", "max"):
@@ -227,10 +227,17 @@ class CycleLoader:
             raise ValueError(f"loader state rr_next {st['rr_next']} is out of "
                              f"range for {n} sources")
         for s, ss in zip(self.sources, st["sources"]):
-            if ss["perm"] is not None and len(ss["perm"]) != len(s.docs):
-                raise ValueError(f"loader state perm of source {s.spec.name!r} has "
-                                 f"{len(ss['perm'])} entries, the source "
+            name, cursor, perm = s.spec.name, ss["cursor"], ss["perm"]
+            if type(cursor) is not int or not 0 <= cursor <= s.n_batches:
+                raise ValueError(f"loader state cursor {cursor!r} of source {name!r} "
+                                 f"is not a batch index in [0, {s.n_batches}]")
+            if perm is not None and len(perm) != len(s.docs):
+                raise ValueError(f"loader state perm of source {name!r} has "
+                                 f"{len(perm)} entries, the source "
                                  f"{len(s.docs)} documents")
+            if perm is not None and sorted(perm) != list(range(len(s.docs))):
+                raise ValueError(f"loader state perm of source {name!r} is not a "
+                                 f"permutation of its document indices")
         self._rr_next = st["rr_next"]
         for s, ss in zip(self.sources, st["sources"]):
             s.perm = None if ss["perm"] is None else np.asarray(ss["perm"])

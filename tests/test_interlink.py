@@ -169,6 +169,20 @@ def test_frame_seq_validation():
         FrameFeatureSeq(features=np.zeros((1, 2)), timestamps=[0.0])
 
 
+def test_frame_seq_rejects_non_finite_frames():
+    # a NaN feature gave 0 cuts and a NaN scatter, and NaN timestamps passed
+    # the order check
+    features = np.arange(12, dtype=float).reshape(6, 2)
+    features[4, 1] = np.nan
+    with pytest.raises(ValueError, match="frame 4 has a non-finite"):
+        seq_from(features)
+    for bad in (np.nan, np.inf):
+        stamps = np.arange(6, dtype=float)
+        stamps[2] = bad
+        with pytest.raises(ValueError, match="frame 2 has a non-finite"):
+            FrameFeatureSeq(features=np.zeros((6, 2)), timestamps=stamps)
+
+
 def test_segments_helper():
     b = ik.ShotBoundaries(cut_indices=[3, 7], scatter=0.0)
     assert b.segments(10) == [(0, 3), (3, 7), (7, 10)]

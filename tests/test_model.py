@@ -71,8 +71,10 @@ def test_invalid_config_messages():
         cm.build(toy_config(cross_interval=0), seed=0)
     with pytest.raises(ValueError, match="compress_ratio"):
         cm.build(toy_config(d_model=16, compress_ratio=3), seed=0)
-    with pytest.raises(ValueError, match="temperature"):
-        cm.build(toy_config(temperature=0.0), seed=0)
+    # NaN built a model whose logit scale is NaN; inf failed in math.log
+    for temperature in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature must be > 0 and finite"):
+            cm.build(toy_config(temperature=temperature), seed=0)
 
 
 @pytest.mark.parametrize("name, value", [

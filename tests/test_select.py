@@ -77,6 +77,17 @@ def test_k_greater_than_n():
             kmeans(pairs, k=k)
 
 
+def test_kmeans_rejects_non_finite_points():
+    # k >= 2 failed inside numpy's k-means++ draw, and k = 1 returned a NaN
+    # inertia
+    embs = np.arange(10, dtype=float).reshape(5, 2)
+    for bad in (np.nan, np.inf):
+        embs[3, 0] = bad
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="point 'p003' has a non-finite"):
+                kmeans(make_pairs(embs), k=k)
+
+
 def test_inertia_monotone_over_100_seeds():
     for seed in range(100):
         rng = np.random.default_rng(seed)

@@ -91,12 +91,20 @@ def test_default_config_has_no_warmup_and_two_schedules():
     ("warmup_steps", -1, "warmup_steps must be >= 0"),
     ("window_len", 4, "window_len must be >= 8"),
     ("lambda_contrastive", -1.0, "lambda_contrastive must be >= 0"),
-    ("weight_decay", -0.1, "weight_decay must be >= 0")])
+    ("weight_decay", -0.1, "weight_decay must be >= 0"),
+    ("grad_clip", -1.0, "grad_clip must be >= 0"),
+    ("lr_max", float("nan"), "lr_max must be > 0 and finite"),
+    ("lr_max", float("inf"), "lr_max must be > 0 and finite"),
+    ("lambda_contrastive", float("nan"), "lambda_contrastive must be >= 0 and finite"),
+    ("weight_decay", float("nan"), "weight_decay must be >= 0 and finite"),
+    ("grad_clip", float("nan"), "grad_clip must be >= 0 and finite")])
 def test_train_config_rejects_out_of_range(field, value, message):
     # unchecked, batch_size 0 divides by zero in DataSource.n_batches, warmup
     # -1 shifts the cosine schedule silently, a window below 8 tokens fails
     # only at the first windowed sample, a negative lambda maximizes the
-    # contrastive loss, and a negative weight decay grows the weights
+    # contrastive loss, and a negative weight decay grows the weights; a NaN
+    # lr, lambda or weight decay turns learnables NaN after one step, and a
+    # NaN or negative grad_clip turns clipping off
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{field: value})
 
@@ -257,8 +265,18 @@ def test_min_max_cycle_has_one_batch_per_source(tmp_path):
     (lambda st: st["sources"].pop(), "loader state holds 2 sources, the loader 3"),
     (lambda st: st["sources"][1]["perm"].pop(),
      "perm of source 'src1' has 2 entries, the source 3 documents"),
-    (lambda st: st.update(rr_next=3), "rr_next 3 is out of range for 3 sources")],
-    ids=["source_count", "perm_length", "rr_next"])
+    (lambda st: st.update(rr_next=3), "rr_next 3 is out of range for 3 sources"),
+    # -1 gave a cycle of empty batches, logged as skipped; -3 re-read documents
+    (lambda st: st["sources"][0].update(cursor=-1),
+     r"cursor -1 of source 'src0' is not a batch index in \[0, 3\]"),
+    (lambda st: st["sources"][2].update(cursor=-3), "cursor -3 of source 'src2'"),
+    (lambda st: st["sources"][1].update(cursor=4), "cursor 4 of source 'src1'"),
+    (lambda st: st["sources"][1].update(cursor=1.0), "cursor 1.0 of source 'src1'"),
+    # one document, trained on three times an epoch
+    (lambda st: st["sources"][1].update(perm=[0, 0, 0]),
+     "perm of source 'src1' is not a permutation of its document indices")],
+    ids=["source_count", "perm_length", "rr_next", "cursor_minus_1",
+         "cursor_minus_3", "cursor_past_end", "cursor_float", "perm_repeats"])
 def test_loader_state_must_fit_sources(tmp_path, change, message):
     vocab = build_vocab(["red widget"], max_size=300)
     sources = make_sized_sources(tmp_path, vocab, [3, 3, 3])
@@ -283,8 +301,10 @@ def test_empty_source_rejected(tmp_path):
 def test_source_spec_validation():
     with pytest.raises(ValueError, match="data_type"):
         SourceSpec("x", "text_only", 1.0, [])
-    with pytest.raises(ValueError, match="weight"):
-        SourceSpec("x", "image_text", 0.0, [])
+    # a NaN weight turns every learnable NaN after one step
+    for weight in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="source weight must be > 0 and finite"):
+            SourceSpec("x", "image_text", weight, [])
 
 
 # -- train_step --------------------------------------------------------------

@@ -20,6 +20,14 @@ tokens keep one layout: [n, n_latents, d] per item from ``encode_media``, and
 [B, n_media * n_latents, d] per batch row in ``fuse_and_decode`` and
 ``embed_media``. The decode cache holds each block's keys and values and each
 fusion layer's visual ones.
+
+``Model.unimodal_states`` keeps the first-half states of token rows that
+training sees again and again (whole documents, see ``training``), keyed by
+the row. The half is frozen and starts every row at position 0, so a row's
+states depend on the row alone. They are valid while the frozen weights are
+as built or loaded: whatever changes a frozen weight must clear the store.
+Training fills it lazily, so it holds at most one [1, seq, d_model] float64
+array per distinct document, docs x window_len x d_model x 8 B in all.
 """
 
 from __future__ import annotations
@@ -87,6 +95,9 @@ class Model:
     seed: int
     frozen_params: dict[str, Tensor] = field(default_factory=dict)
     learnable_params: dict[str, Tensor] = field(default_factory=dict)
+    # token row -> its encode_text_unimodal states [1, seq, d]; see the module
+    unimodal_states: dict[tuple[int, ...], np.ndarray] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def param(self, name: str) -> Tensor:
         if name in self.learnable_params:
@@ -351,14 +362,24 @@ def fuse_and_decode(model: Model, text_hidden: Tensor, visual: Tensor | None,
 
 
 def forward_logits(model: Model, token_ids, media_features: list[np.ndarray],
-                   media_positions: list[tuple[int, int]]) -> Tensor:
+                   media_positions: list[tuple[int, int]],
+                   text_hidden: Tensor | None = None,
+                   visual: Tensor | None = None) -> Tensor:
     """Full multimodal forward of one sequence (unimodal half, fusion half):
-    logits [seq, vocab]."""
-    th = encode_text_unimodal(model, [token_ids])
-    visual = encode_media(model, media_features)
+    logits [seq, vocab].
+
+    A caller that already holds the sequence's encodings passes them, and
+    they are not recomputed: ``text_hidden`` [1, seq, d] from
+    ``encode_text_unimodal`` and ``visual`` [n_media, n_latents, d], the
+    rows of ``media_features`` in an ``encode_media`` output. Without them
+    both are computed here."""
+    if text_hidden is None:
+        text_hidden = encode_text_unimodal(model, [token_ids])
+    if visual is None and media_features:
+        visual = encode_media(model, media_features)
     if visual is not None:
         visual = ad.reshape(visual, (1, -1, model.config.d_model))
-    logits = fuse_and_decode(model, th, visual, [media_positions])
+    logits = fuse_and_decode(model, text_hidden, visual, [media_positions])
     return ad.reshape(logits, logits.shape[1:])
 
 

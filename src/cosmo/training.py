@@ -8,6 +8,16 @@ loss, and applies a single clipped AdamW update to the learnable parameters.
 EMA, decay ``GUARD_EMA_DECAY``): it skips a non-finite value and scales one
 above ``GUARD_SPIKE_FACTOR`` times the average back down to it, with a
 threshold ``GUARD_WARMUP_SLACK`` times wider over the first ``GUARD_WARMUP``.
+
+A source batch encodes each frozen input once for both losses, as CoCa (Yu
+et al. 2022, arXiv 2205.01917) runs its text encoder once. All the batch's
+media go through one ``encode_media`` call, whose rows feed each sample's
+fusion half and the media tower. Each sample's first-half states feed its
+fusion half and the text tower. A sample that is its whole document keeps
+them in ``Model.unimodal_states``, so later epochs reuse them; a cut window
+is encoded anew each time, since its states change with the cut. A kept
+row and a fresh one come from the same one-row ``encode_text_unimodal``
+pass, so they are the same bytes and resume stays bit-identical.
 """
 
 from __future__ import annotations
@@ -63,6 +73,11 @@ class TrainConfig:
         # chained comparisons, so that NaN fails them too
         if not 0 < self.lr_max < math.inf:
             raise ValueError(f"lr_max must be > 0 and finite, got {self.lr_max}")
+        if not 1 <= self.max_steps < math.inf:
+            raise ValueError(f"max_steps must be >= 1 and finite, got {self.max_steps}")
+        if not 0 <= self.checkpoint_every < math.inf:
+            raise ValueError(f"checkpoint_every must be >= 0 and finite, got "
+                             f"{self.checkpoint_every}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.warmup_steps < 0:
@@ -137,6 +152,7 @@ class Sample:
     media_positions: list[tuple[int, int]]
     loss_mask: np.ndarray
     text_span: tuple[int, int] | None = None
+    whole: bool = False  # the window is the whole document
 
 
 class DataSource:
@@ -194,7 +210,8 @@ class DataSource:
         media_used = sorted({m for _, m in w.media_slice})
         remap = {m: j for j, m in enumerate(media_used)}
         return Sample(w.token_ids, [self.docs[i].media[m].features for m in media_used],
-                      [(p, remap[m]) for p, m in w.media_slice], w.loss_mask, span)
+                      [(p, remap[m]) for p, m in w.media_slice], w.loss_mask, span,
+                      whole=len(w.token_ids) == len(tokens))
 
 
 class CycleLoader:
@@ -223,9 +240,12 @@ class CycleLoader:
         if len(st["sources"]) != n:
             raise ValueError(f"loader state holds {len(st['sources'])} sources, "
                              f"the loader {n}")
-        if not 0 <= st["rr_next"] < n:
-            raise ValueError(f"loader state rr_next {st['rr_next']} is out of "
-                             f"range for {n} sources")
+        rr_next = st["rr_next"]
+        if type(rr_next) is not int:
+            raise ValueError(f"loader state rr_next {rr_next!r} is not an int")
+        if not 0 <= rr_next < n:
+            raise ValueError(f"loader state rr_next {rr_next} is out of range for "
+                             f"{n} sources")
         for s, ss in zip(self.sources, st["sources"]):
             name, cursor, perm = s.spec.name, ss["cursor"], ss["perm"]
             if type(cursor) is not int or not 0 <= cursor <= s.n_batches:
@@ -238,7 +258,7 @@ class CycleLoader:
             if perm is not None and sorted(perm) != list(range(len(s.docs))):
                 raise ValueError(f"loader state perm of source {name!r} is not a "
                                  f"permutation of its document indices")
-        self._rr_next = st["rr_next"]
+        self._rr_next = rr_next
         for s, ss in zip(self.sources, st["sources"]):
             s.perm = None if ss["perm"] is None else np.asarray(ss["perm"])
             s.cursor = ss["cursor"]
@@ -338,26 +358,52 @@ def adamw_update(model: cm.Model, state: TrainState, lr: float,
         p.data = p.data - lr * update
 
 
-def _batch_lm_loss(model: cm.Model, batch: list[Sample]) -> Tensor:
+def _text_states(model: cm.Model, s: Sample) -> Tensor:
+    """First-half states [1, seq, d] of ``s`` from a one-row
+    ``encode_text_unimodal`` pass, kept in ``model.unimodal_states`` when
+    ``s`` is a whole document and read back from there on later visits."""
+    if not s.whole:
+        return cm.encode_text_unimodal(model, [s.token_ids])
+    key = tuple(s.token_ids)
+    states = model.unimodal_states.get(key)
+    if states is None:
+        states = cm.encode_text_unimodal(model, [s.token_ids]).data
+        states.flags.writeable = False
+        model.unimodal_states[key] = states
+    return Tensor(states)
+
+
+def _batch_losses(model: cm.Model, batch: list[Sample], contrastive: bool
+                  ) -> tuple[Tensor, Tensor | None]:
+    """The batch's LM loss, the mean over its samples, and, if
+    ``contrastive``, the InfoNCE over its pairs (None without a pair).
+
+    Both losses read one encoding of each input: the samples' first-half
+    states (``_text_states``) and one ``encode_media`` call over all the
+    batch's media. The text tower pads the pairs' states into one [P, W, d]
+    batch, each row pooled over its own caption span; the media tower reads
+    each pair's first media item."""
+    states = [_text_states(model, s) for s in batch]
+    media = cm.encode_media(model, [f for s in batch for f in s.media_features])
+    first = np.cumsum([0] + [len(s.media_features) for s in batch])
     per = []
-    for s in batch:
+    for s, th, lo in zip(batch, states, first):
+        visual = media[lo:lo + len(s.media_features)] if s.media_features else None
         logits = cm.forward_logits(model, s.token_ids, s.media_features,
-                                   s.media_positions)
+                                   s.media_positions, th, visual)
         per.append(cm.lm_loss(logits, s.token_ids[1:], s.loss_mask[1:]))
-    return ad.scale(ad.add_all(per), 1.0 / len(per))
-
-
-def _batch_contrastive(model: cm.Model, batch: list[Sample]) -> Tensor | None:
-    """InfoNCE over the batch's pairs. The pairs' token rows are embedded as
-    one right-padded [B, seq] batch, each pooled over its own caption span,
-    and their media as one padded media batch."""
-    pairs = [s for s in batch if s.text_span is not None and s.media_features]
-    if not pairs:
-        return None
-    th = cm.encode_text_unimodal(model, [s.token_ids for s in pairs])
-    vt = cm.encode_media(model, [s.media_features[0] for s in pairs])
-    t, v = cm.contrastive_embed(model, th, vt, [s.text_span for s in pairs])
-    return cm.contrastive_loss(t, v, cm.logit_scale(model))
+    lm = ad.scale(ad.add_all(per), 1.0 / len(per))
+    pairs = [i for i, s in enumerate(batch)
+             if s.text_span is not None and s.media_features]
+    if not contrastive or not pairs:
+        return lm, None
+    padded = np.zeros((len(pairs), max(states[i].shape[1] for i in pairs),
+                       model.config.d_model))
+    for row, i in zip(padded, pairs):
+        row[:states[i].shape[1]] = states[i].data[0]
+    t, v = cm.contrastive_embed(model, Tensor(padded), media[first[pairs]],
+                                [batch[i].text_span for i in pairs])
+    return lm, cm.contrastive_loss(t, v, cm.logit_scale(model))
 
 
 def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
@@ -391,11 +437,10 @@ def train_step(model: cm.Model, cycle, state: TrainState, config: TrainConfig,
         with Tape() as tape:
             parts = []
             scaled = False
-            sub = [("lm", 1.0, _batch_lm_loss(model, batch))]
-            if config.lambda_contrastive:
-                c = _batch_contrastive(model, batch)
-                if c is not None:
-                    sub.append(("contrastive", config.lambda_contrastive, c))
+            lm, c = _batch_losses(model, batch, bool(config.lambda_contrastive))
+            sub = [("lm", 1.0, lm)]
+            if c is not None:
+                sub.append(("contrastive", config.lambda_contrastive, c))
             for kind, lam, loss in sub:
                 if loss_hook is not None:
                     loss = loss_hook(state.step, spec.name, kind, loss)

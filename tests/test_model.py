@@ -759,6 +759,29 @@ def _cycle_grads(cycle, **train_kw):
     return rows, {k: p.grad for k, p in model.learnable_params.items()}
 
 
+def _lm_reference(model, batch):
+    """The batch's LM loss from one plain ``forward_logits`` per sample."""
+    per = [cm.lm_loss(cm.forward_logits(model, s.token_ids, s.media_features,
+                                        s.media_positions),
+                      s.token_ids[1:], s.loss_mask[1:]) for s in batch]
+    return ad.scale(ad.add_all(per), 1.0 / len(per))
+
+
+def _contrastive_reference(model, batch):
+    """InfoNCE over the batch's pairs, each embedded on its own by
+    ``contrastive_embed`` from its own text and first-media encodes."""
+    ts, vs = [], []
+    for s in batch:
+        if s.text_span is None or not s.media_features:
+            continue
+        t, v = cm.contrastive_embed(model, cm.encode_text_unimodal(model, [s.token_ids]),
+                                    cm.encode_media(model, s.media_features[:1]),
+                                    [s.text_span])
+        ts.append(t)
+        vs.append(v)
+    return cm.contrastive_loss(ad.concat(ts), ad.concat(vs), cm.logit_scale(model))
+
+
 def test_combined_loss_single_type_lm_only():
     rng = np.random.default_rng(5)
     batch = [_sample(rng), _sample(rng)]
@@ -767,7 +790,7 @@ def test_combined_loss_single_type_lm_only():
     assert rows[0]["c_loss"] is None
     model = cm.build(toy_config(), seed=0)
     with Tape() as tape:
-        lm = tr._batch_lm_loss(model, batch)
+        lm = _lm_reference(model, batch)
         ad.backward(lm, tape)
     assert rows[0]["lm_loss"] == lm.item()
     for k, p in model.learnable_params.items():
@@ -787,9 +810,9 @@ def test_combined_loss_three_types():
     # reference: every source adds 1 * (1 * L_lm + 1 * L_c), L_c on paired types
     model = cm.build(toy_config(), seed=0)
     for spec, batch in cycle:
-        terms = [tr._batch_lm_loss]
+        terms = [_lm_reference]
         if spec.data_type in tr.PAIRED_TYPES:
-            terms.append(tr._batch_contrastive)
+            terms.append(_contrastive_reference)
         for term in terms:
             with Tape() as tape:
                 ad.backward(term(model, batch), tape)
@@ -823,27 +846,16 @@ def test_batch_contrastive_equals_per_pair_infonce(monkeypatch):
                                text_span=(1, n - 1)))
     batch.insert(2, _sample(rng, paired=False))
 
-    def per_pair():
-        ts, vs = [], []
-        for s in batch:
-            if s.text_span is None:
-                continue
-            t, v = cm.contrastive_embed(m, cm.encode_text_unimodal(m, [s.token_ids]),
-                                        cm.encode_media(m, s.media_features[:1]),
-                                        [s.text_span])
-            ts.append(t)
-            vs.append(v)
-        return cm.contrastive_loss(ad.concat(ts), ad.concat(vs), cm.logit_scale(m))
-
     calls = collections.Counter()
     for name in ("encode_text_unimodal", "encode_media"):
         monkeypatch.setattr(cm, name, lambda *a, _fn=getattr(cm, name), _name=name:
                             calls.update([_name]) or _fn(*a))
-    got, got_grads = _value_and_grads(m, lambda: tr._batch_contrastive(m, batch))
-    # one padded call per tower, whatever mix of lengths and frames
-    assert calls == {"encode_text_unimodal": 1, "encode_media": 1}
+    got, got_grads = _value_and_grads(m, lambda: tr._batch_losses(m, batch, True)[1])
+    # one encode_media per source batch, whatever mix of frames, and each
+    # sample's text encoded once for both losses
+    assert calls == {"encode_text_unimodal": len(batch), "encode_media": 1}
     monkeypatch.undo()
-    want, want_grads = _value_and_grads(m, per_pair)
+    want, want_grads = _value_and_grads(m, lambda: _contrastive_reference(m, batch))
     assert abs(float(got) - float(want)) <= 1e-12
     assert set(got_grads) == set(want_grads)
     for k, g in want_grads.items():

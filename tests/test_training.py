@@ -97,14 +97,21 @@ def test_default_config_has_no_warmup_and_two_schedules():
     ("lr_max", float("inf"), "lr_max must be > 0 and finite"),
     ("lambda_contrastive", float("nan"), "lambda_contrastive must be >= 0 and finite"),
     ("weight_decay", float("nan"), "weight_decay must be >= 0 and finite"),
-    ("grad_clip", float("nan"), "grad_clip must be >= 0 and finite")])
+    ("grad_clip", float("nan"), "grad_clip must be >= 0 and finite"),
+    ("max_steps", 0, "max_steps must be >= 1 and finite"),
+    ("max_steps", -5, "max_steps must be >= 1 and finite"),
+    ("max_steps", float("nan"), "max_steps must be >= 1 and finite"),
+    ("max_steps", float("inf"), "max_steps must be >= 1 and finite"),
+    ("checkpoint_every", -1, "checkpoint_every must be >= 0 and finite"),
+    ("checkpoint_every", float("nan"), "checkpoint_every must be >= 0 and finite")])
 def test_train_config_rejects_out_of_range(field, value, message):
     # unchecked, batch_size 0 divides by zero in DataSource.n_batches, warmup
     # -1 shifts the cosine schedule silently, a window below 8 tokens fails
     # only at the first windowed sample, a negative lambda maximizes the
     # contrastive loss, and a negative weight decay grows the weights; a NaN
     # lr, lambda or weight decay turns learnables NaN after one step, and a
-    # NaN or negative grad_clip turns clipping off
+    # NaN or negative grad_clip turns clipping off; max_steps below 1 or NaN
+    # wrote final.ckpt without a step, and checkpoint_every -1 saved every step
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{field: value})
 
@@ -266,6 +273,8 @@ def test_min_max_cycle_has_one_batch_per_source(tmp_path):
     (lambda st: st["sources"][1]["perm"].pop(),
      "perm of source 'src1' has 2 entries, the source 3 documents"),
     (lambda st: st.update(rr_next=3), "rr_next 3 is out of range for 3 sources"),
+    # 1.5 passed the range check, and the next round-robin cycle raised TypeError
+    (lambda st: st.update(rr_next=1.5), "rr_next 1.5 is not an int"),
     # -1 gave a cycle of empty batches, logged as skipped; -3 re-read documents
     (lambda st: st["sources"][0].update(cursor=-1),
      r"cursor -1 of source 'src0' is not a batch index in \[0, 3\]"),
@@ -275,7 +284,7 @@ def test_min_max_cycle_has_one_batch_per_source(tmp_path):
     # one document, trained on three times an epoch
     (lambda st: st["sources"][1].update(perm=[0, 0, 0]),
      "perm of source 'src1' is not a permutation of its document indices")],
-    ids=["source_count", "perm_length", "rr_next", "cursor_minus_1",
+    ids=["source_count", "perm_length", "rr_next", "rr_next_float", "cursor_minus_1",
          "cursor_minus_3", "cursor_past_end", "cursor_float", "perm_repeats"])
 def test_loader_state_must_fit_sources(tmp_path, change, message):
     vocab = build_vocab(["red widget"], max_size=300)
@@ -549,6 +558,124 @@ def test_frozen_params_bit_identical_after_training(tiny_setup):
     tr.train(model, sources, config, str(tmp / "out"), vocab)
     for k, p in model.frozen_params.items():
         assert p.data.tobytes() == snapshot[k], k
+
+
+# -- frozen work once --------------------------------------------------------
+
+def whole_and_cut_sources(tmp, vocab, config):
+    """A pair source of 4 short documents, each with its own caption and kept
+    whole, and one of 4 pairs longer than the window, which are cut."""
+    paths = []
+    for i, caption in enumerate(("red widget", "blue gizmo", "green lever",
+                                 "red gizmo")):
+        paths.append(str(tmp / f"short{i}.jsonl"))
+        write_pair_shard(paths[-1], 1, seed=i, caption=caption)
+    long = str(tmp / "long.jsonl")
+    write_pair_shard(long, 4, seed=9, caption=" ".join(["blue lever"] * 12))
+    return tr.make_sources([SourceSpec("short", "image_text", 1.0, paths),
+                            SourceSpec("long", "video_text", 1.0, [long])],
+                           vocab, config)
+
+
+def run_cycles(model, sources, config, steps):
+    """``steps`` train steps over ``sources``; the cycles they ran."""
+    state = tr.init_state(model, seed=0)
+    loader = CycleLoader(sources, config.loader_strategy)
+    loader.start_epoch(state.rng)
+    cycles = []
+    while len(cycles) < steps:
+        cycle = loader.next_cycle(state.rng)
+        if cycle is EPOCH_END:
+            loader.start_epoch(state.rng)
+            continue
+        tr.train_step(model, cycle, state, config)
+        cycles.append(cycle)
+    return cycles
+
+
+def test_whole_documents_run_their_first_half_once(tiny_setup, monkeypatch):
+    vocab, _, model, tmp = tiny_setup
+    config = cfg(max_steps=4)
+    sources = whole_and_cut_sources(tmp, vocab, config)
+    short_rows = [tuple(tokens) for tokens, _, _ in sources[0]._serialized]
+    assert len(set(short_rows)) == 4
+    assert all(len(tokens) > config.window_len
+               for tokens, _, _ in sources[1]._serialized)
+    encoded = []
+    encode = cm.encode_text_unimodal
+
+    def recording(m, token_ids, *rest):
+        encoded.extend(tuple(r) for r in token_ids)
+        return encode(m, token_ids, *rest)
+
+    monkeypatch.setattr(cm, "encode_text_unimodal", recording)
+    cycles = run_cycles(model, sources, config, steps=4)  # two epochs of 2 batches
+    samples = [s for cycle in cycles for _, batch in cycle for s in batch]
+    whole = [s for s in samples if s.whole]
+    cut = [s for s in samples if not s.whole]
+    assert sorted(tuple(s.token_ids) for s in whole) == sorted(short_rows * 2)
+    assert len(cut) == 8
+    # each whole document once over both epochs, each cut window every time
+    assert sorted(r for r in encoded if r in short_rows) == sorted(short_rows)
+    assert sorted(r for r in encoded if r not in short_rows) == sorted(
+        tuple(s.token_ids) for s in cut)
+    assert sorted(model.unimodal_states) == sorted(short_rows)
+
+
+def test_encode_media_runs_once_per_source_batch(tiny_setup, monkeypatch):
+    vocab, _, model, tmp = tiny_setup
+    config = cfg(max_steps=2)
+    sources = whole_and_cut_sources(tmp, vocab, config)
+    items = []
+    encode = cm.encode_media
+
+    def recording(m, media_features):
+        items.append(len(media_features))
+        return encode(m, media_features)
+
+    monkeypatch.setattr(cm, "encode_media", recording)
+    cycles = run_cycles(model, sources, config, steps=2)
+    assert items == [sum(len(s.media_features) for s in batch)
+                     for cycle in cycles for _, batch in cycle]
+    assert len(items) == 4 and min(items) > 0
+
+
+def test_a_full_store_gives_the_bytes_of_an_empty_one(tiny_setup):
+    vocab, _, model, tmp = tiny_setup
+    config = cfg(max_steps=1)
+    sources = whole_and_cut_sources(tmp, vocab, config)
+    loader = CycleLoader(sources, "min")
+    rng = np.random.default_rng(3)
+    loader.start_epoch(rng)
+    cycle = loader.next_cycle(rng)
+    empty, full = (cm.build(model.config, seed=0) for _ in range(2))
+    for _, batch in cycle:
+        tr._batch_losses(full, batch, True)
+    assert len(full.unimodal_states) == 2 and not empty.unimodal_states
+    rows = [tr.train_step(m, cycle, tr.init_state(m, seed=0), config)
+            for m in (empty, full)]
+    assert json.dumps(rows[0]) == json.dumps(rows[1])
+    for name, p in empty.learnable_params.items():
+        q = full.learnable_params[name]
+        assert p.grad.tobytes() == q.grad.tobytes(), name
+        assert p.data.tobytes() == q.data.tobytes(), name
+    assert sorted(empty.unimodal_states) == sorted(full.unimodal_states)
+    for key, states in empty.unimodal_states.items():
+        assert states.tobytes() == full.unimodal_states[key].tobytes()
+
+
+def test_models_keep_their_own_first_half_states(tiny_setup):
+    vocab, _, model, tmp = tiny_setup
+    config = cfg(max_steps=4)
+    models = [cm.build(model.config, seed=seed) for seed in (0, 1)]
+    for m in models:
+        run_cycles(m, whole_and_cut_sources(tmp, vocab, config), config, steps=4)
+    assert sorted(models[0].unimodal_states) == sorted(models[1].unimodal_states)
+    for m, other in (models, models[::-1]):
+        for key, states in m.unimodal_states.items():
+            own = cm.encode_text_unimodal(m, [list(key)]).data
+            assert states.tobytes() == own.tobytes()
+            assert states.tobytes() != other.unimodal_states[key].tobytes()
 
 
 def test_no_decay_predicate():

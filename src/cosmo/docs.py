@@ -112,7 +112,6 @@ class MediaItem:
     kind: str  # "image" | "video"
     features: np.ndarray  # [frames, patches, d_vision]
     source_id: str = ""
-    min_side_px: int | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float32)
@@ -246,12 +245,9 @@ def write_shard(docs: list[Document], path: str) -> None:
             media_recs = []
             for item in doc.media:
                 buf = item.features.astype("<f4").tobytes()
-                rec = {"kind": item.kind, "offset": offset,
-                       "shape": list(item.features.shape),
-                       "source_id": item.source_id}
-                if item.min_side_px is not None:
-                    rec["px"] = item.min_side_px
-                media_recs.append(rec)
+                media_recs.append({"kind": item.kind, "offset": offset,
+                                   "shape": list(item.features.shape),
+                                   "source_id": item.source_id})
                 bf.write(buf)
                 offset += len(buf)
             segs = [{"m": s.media_id} if isinstance(s, MediaRef) else {"t": s.text}
@@ -277,8 +273,7 @@ def read_shard(path: str) -> list[Document]:
                 feats = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape)),
                                       offset=mr["offset"]).reshape(shape)
                 media.append(MediaItem(kind=mr["kind"], features=feats.copy(),
-                                       source_id=mr.get("source_id", ""),
-                                       min_side_px=mr.get("px")))
+                                       source_id=mr.get("source_id", "")))
             segments: list[Segment] = []
             for s in rec["segments"]:
                 segments.append(MediaRef(s["m"]) if "m" in s else TextSpan(s["t"]))

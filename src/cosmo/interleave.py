@@ -5,6 +5,8 @@ clamped Gaussian noise so images can match different texts across epochs,
 solve the one-to-one assignment exactly (optimal transport with uniform
 marginals over a bipartite set reduces to linear assignment), and replace
 the matched text of poorly aligned images with generated pseudo-captions.
+That repair is the only rule: no image is dropped, whatever its score or
+size, so a document keeps its media and segment order.
 
 The assignment is solved in pure Python by the Hungarian method in its
 shortest-augmenting-path form (Kuhn 1955; the variant scipy follows is
@@ -20,22 +22,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .docs import Document, MediaRef, TextSpan
+from .docs import Document, TextSpan
 
 DEFAULT_SIGMA = 0.04
 DEFAULT_CLAMP = 0.08
 DEFAULT_REPLACE_BELOW = 0.20
-MMC4_BASELINE_THRESHOLD = 0.24
 
 
-def perturb(scores: np.ndarray, rng: np.random.Generator,
-            sigma: float = DEFAULT_SIGMA) -> np.ndarray:
-    """Return scores + zero-mean Gaussian noise with every entry clipped to
-    [-DEFAULT_CLAMP, DEFAULT_CLAMP]; the input matrix is untouched."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+def perturb(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Return scores + zero-mean Gaussian noise of std ``DEFAULT_SIGMA`` with
+    every entry clipped to [-DEFAULT_CLAMP, DEFAULT_CLAMP]; the input matrix
+    is untouched."""
     scores = np.asarray(scores, dtype=np.float64)
-    return scores + np.clip(rng.normal(0.0, sigma, size=scores.shape),
+    return scores + np.clip(rng.normal(0.0, DEFAULT_SIGMA, size=scores.shape),
                             -DEFAULT_CLAMP, DEFAULT_CLAMP)
 
 
@@ -109,7 +108,6 @@ class PrepRecord:
     """Per-document outcome, serialized to the sidecar JSON."""
     assignment: list[tuple[int, int]] = field(default_factory=list)
     replaced: list[int] = field(default_factory=list)
-    dropped_media: list[int] = field(default_factory=list)
     dropped: bool = False
     reason: str | None = None
     original_texts: dict[int, str] = field(default_factory=dict)
@@ -117,7 +115,6 @@ class PrepRecord:
     def to_dict(self) -> dict:
         return {"assignment": [list(p) for p in self.assignment],
                 "replaced": self.replaced,
-                "dropped_media": self.dropped_media,
                 "dropped": self.dropped,
                 "reason": self.reason,
                 "original_texts": {str(k): v for k, v in self.original_texts.items()}}
@@ -125,19 +122,14 @@ class PrepRecord:
 
 def filter_and_replace(doc: Document, scores: np.ndarray,
                        assignment: list[tuple[int, int]],
-                       captioner, replace_below: float = DEFAULT_REPLACE_BELOW,
-                       min_image_px: int | None = None,
-                       mode: str = "replace") -> tuple[Document | None, PrepRecord]:
-    """Repair a document according to its matched similarities.
+                       captioner) -> tuple[Document | None, PrepRecord]:
+    """Repair a document according to its matched similarities: the matched
+    text of each image scoring below ``DEFAULT_REPLACE_BELOW`` becomes a
+    generated caption. Media and segment order are kept; only texts change.
 
-    ``replace`` mode swaps the matched text of any image scoring below the
-    threshold for a generated caption, keeping media untouched. ``drop`` mode
-    removes the below-threshold images instead (the coarse-filter baseline).
-    Documents left without media are dropped with a recorded reason; captioner
-    failures quarantine the document rather than killing the pipeline.
+    A captioner that raises, or returns anything but a ``str``, quarantines
+    the document rather than killing the pipeline.
     """
-    if mode not in ("replace", "drop"):
-        raise ValueError(f"unknown mode {mode!r}")
     scores = np.asarray(scores, dtype=np.float64)
     rec = PrepRecord(assignment=list(assignment))
     spans = doc.text_spans()
@@ -147,72 +139,26 @@ def filter_and_replace(doc: Document, scores: np.ndarray,
         if not 0 <= t < len(spans):
             raise ValueError(f"assignment text index {t} out of range")
 
-    too_small = set()
-    if min_image_px is not None:
-        for i, m in enumerate(doc.media):
-            if m.min_side_px is not None and m.min_side_px < min_image_px:
-                too_small.add(i)
+    new_texts = [span.text for span in spans]
+    for i, t in sorted(assignment):
+        if scores[i, t] >= DEFAULT_REPLACE_BELOW:
+            continue
+        try:
+            generated = captioner.generate(doc.media[i])
+            if not isinstance(generated, str):
+                raise TypeError(f"returned {type(generated).__name__}, not str")
+        except Exception as e:  # noqa: BLE001 - quarantine whatever went wrong
+            rec.dropped = True
+            rec.reason = f"captioner: {e}"
+            return None, rec
+        rec.original_texts[t] = new_texts[t]
+        new_texts[t] = generated
+        rec.replaced.append(i)
 
-    low = {i: t for i, t in assignment if scores[i, t] < replace_below}
-    remove = set(too_small)
-    if mode == "drop":
-        remove |= set(low)
-    if len(remove) >= len(doc.media):
-        rec.dropped = True
-        rec.dropped_media = sorted(remove)
-        rec.reason = "no media left after size filtering" if not low or mode == "replace" \
-            else "no media left after threshold filtering"
-        return None, rec
-
-    new_texts = {s: span.text for s, span in enumerate(spans)}
-    if mode == "replace":
-        for i, t in sorted(low.items()):
-            if i in remove:
-                continue
-            try:
-                generated = captioner.generate(doc.media[i])
-            except Exception as e:  # noqa: BLE001 - quarantine whatever went wrong
-                rec.dropped = True
-                rec.reason = f"captioner: {e}"
-                return None, rec
-            rec.original_texts[t] = new_texts[t]
-            new_texts[t] = generated
-            rec.replaced.append(i)
-
-    rec.dropped_media = sorted(remove)
-    keep_media = [i for i in range(len(doc.media)) if i not in remove]
-    remap = {old: new for new, old in enumerate(keep_media)}
-    segments = []
-    span_idx = 0
-    for seg in doc.segments:
-        if isinstance(seg, TextSpan):
-            segments.append(TextSpan(new_texts[span_idx]))
-            span_idx += 1
-        elif seg.media_id in remap:
-            segments.append(MediaRef(remap[seg.media_id]))
-    out = Document(segments=segments, media=[doc.media[i] for i in keep_media],
-                   doc_id=doc.doc_id)
-    return out, rec
-
-
-def doc_stats(items: list[tuple[Document, np.ndarray, list[tuple[int, int]]]]
-              ) -> dict:
-    """Corpus statistics over matched pairs: token length and similarity."""
-    if not items:
-        raise ValueError("doc_stats: empty input")
-    tokens, sims = [], []
-    n_media = 0
-    for doc, scores, assignment in items:
-        scores = np.asarray(scores, dtype=np.float64)
-        spans = doc.text_spans()
-        n_media += len(doc.media)
-        for i, t in assignment:
-            tokens.append(len(spans[t].text.split()))
-            sims.append(float(scores[i, t]))
-    return {"avg_tokens_per_clip": float(np.mean(tokens)),
-            "avg_similarity": float(np.mean(sims)),
-            "counts": {"docs": len(items), "media": n_media,
-                       "pairs": len(tokens)}}
+    texts = iter(new_texts)
+    segments = [TextSpan(next(texts)) if isinstance(seg, TextSpan) else seg
+                for seg in doc.segments]
+    return Document(segments=segments, media=list(doc.media), doc_id=doc.doc_id), rec
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +190,7 @@ def prep_shard(docs_in: list[Document], sims: dict[str, list[list[float]]],
                ) -> tuple[list[Document], dict[str, dict]]:
     """Noisy-match and repair each document by the fixed rule: match under
     the default noise, then replace the text of each image scoring below
-    ``DEFAULT_REPLACE_BELOW`` with a generated caption. The MMC4 drop
-    baseline and the image-size filter are per-document settings of
-    ``filter_and_replace``.
+    ``DEFAULT_REPLACE_BELOW`` with a generated caption.
 
     A document that cannot be matched is quarantined: its report entry
     records the reason and it is left out of the output. That is a document

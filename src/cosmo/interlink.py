@@ -5,11 +5,14 @@ finds change points by exact dynamic programming over within-segment scatter
 (computable from the Gram matrix alone), then each shot's detailed
 annotation is summarized by a pluggable client, with recent summaries
 threaded into the next prompt to keep the narrative connected.
+
+A client is any object with ``summarize(prompt: str) -> str``;
+``MockAnnotator`` is the one shipped. A clip whose client raises, or returns
+anything but a ``str``, is quarantined.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -101,12 +104,12 @@ def _backtrack(back: np.ndarray, m: int, n: int) -> list[int]:
 
 
 def kts_segment(seq: FrameFeatureSeq, mode: str = "auto",
-                n_cuts: int | None = None, max_cuts: int = 16,
-                penalty: float = DEFAULT_PENALTY) -> ShotBoundaries:
+                n_cuts: int | None = None, max_cuts: int = 16) -> ShotBoundaries:
     """Change-point segmentation minimizing within-segment scatter.
 
     ``fixed`` mode places exactly ``n_cuts`` cuts; ``auto`` picks the count
-    minimizing scatter(m) + penalty * m * (log(n / m) + 1) over m <= max_cuts.
+    minimizing scatter(m) + DEFAULT_PENALTY * m * (log(n / m) + 1) over
+    m <= max_cuts.
     """
     n = seq.features.shape[0]
     if mode == "fixed":
@@ -127,7 +130,8 @@ def kts_segment(seq: FrameFeatureSeq, mode: str = "auto",
     if mode == "fixed":
         m_star = n_cuts
     else:
-        objective = [best[m, n] + (penalty * m * (math.log(n / m) + 1) if m else 0.0)
+        objective = [best[m, n]
+                     + (DEFAULT_PENALTY * m * (math.log(n / m) + 1) if m else 0.0)
                      for m in range(m_hi + 1)]
         m_star = int(np.argmin(objective))
     cuts = _backtrack(back, m_star, n)
@@ -180,10 +184,6 @@ def build_prompt(history: list[str], ann: ClipAnnotation) -> str:
     return "\n".join(lines)
 
 
-class AnnotatorError(RuntimeError):
-    """Summarization failed for one clip."""
-
-
 class MockAnnotator:
     """Deterministic pure function of the prompt, for tests and offline runs."""
 
@@ -196,31 +196,6 @@ class MockAnnotator:
                 caption = line[9:]
         words = (asr + " " + caption).split()
         return "clip showing " + " ".join(words[:8]) if words else "clip"
-
-
-class HttpAnnotator:
-    """POSTs {"prompt": ...} to a JSON endpoint and reads {"text": ...}."""
-
-    def __init__(self, endpoint: str, timeout: float = 30.0):
-        self.endpoint = endpoint
-        self.timeout = timeout
-
-    def summarize(self, prompt: str) -> str:
-        import urllib.request  # here, as it loads ssl, which no other path needs
-
-        req = urllib.request.Request(
-            self.endpoint, data=json.dumps({"prompt": prompt}).encode(),
-            headers={"Content-Type": "application/json"}, method="POST")
-        try:
-            # urlopen raises HTTPError for any 4xx/5xx status
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                body = resp.read().decode("utf-8", errors="replace")
-            text = json.loads(body).get("text")
-        except Exception as e:  # noqa: BLE001 - network errors become AnnotatorError
-            raise AnnotatorError(str(e)) from e
-        if not isinstance(text, str):
-            raise AnnotatorError(f"endpoint returned no text field: {body[:80]}")
-        return text
 
 
 @dataclass
@@ -244,8 +219,8 @@ def annotate_video(seq: FrameFeatureSeq, clip_annotations: list[ClipAnnotation],
 
     Failed clips are skipped (recorded with a reason) and leave the history
     unchanged. A clip fails when its ``clip_range`` is not a non-empty range
-    of the video's frames or when the client raises. Summarization is strictly
-    sequential within one video.
+    of the video's frames, or when the client raises or returns anything but
+    a ``str``. Summarization is strictly sequential within one video.
     """
     history: list[str] = []
     segments = []
@@ -262,6 +237,8 @@ def annotate_video(seq: FrameFeatureSeq, clip_annotations: list[ClipAnnotation],
         prompt = build_prompt(history, ann)
         try:
             summary = client.summarize(prompt)
+            if not isinstance(summary, str):
+                raise TypeError(f"client returned {type(summary).__name__}, not str")
         except Exception as e:  # noqa: BLE001
             quarantine.append(QuarantineRecord(clip=ci, reason=str(e)))
             continue

@@ -12,6 +12,7 @@ is what makes the k-shot context informative.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, asdict
 
@@ -40,10 +41,14 @@ class SyntheticTaskSpec:
     repeat_prob: float = 0.5  # chance an interleaved slot repeats an earlier pair
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.feature_noise < 0:
-            raise ValueError("feature_noise must be >= 0")
+        # chained comparisons, so that NaN fails them too
+        if not (self.n_classes >= 2 and self.n_colors >= 2):
+            raise ValueError("need at least 2 classes and 2 colors")
+        if not 0 <= self.feature_noise < math.inf:
+            raise ValueError(f"feature_noise must be >= 0 and finite, got "
+                             f"{self.feature_noise}")
+        if not 0 <= self.repeat_prob <= 1:
+            raise ValueError(f"repeat_prob must be in [0, 1], got {self.repeat_prob}")
         if self.n_classes > len(CLASS_WORDS) or self.n_colors > len(COLOR_WORDS):
             raise ValueError("not enough distinct words for that many classes")
 

@@ -84,6 +84,10 @@ class TrainConfig:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.window_len < MIN_WINDOW:
             raise ValueError(f"window_len must be >= {MIN_WINDOW}, got {self.window_len}")
+        for name in ("warmup_steps", "max_steps", "batch_size", "window_len",
+                     "checkpoint_every"):
+            if type(getattr(self, name)) is not int:  # bool and float are not counts
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         for name in ("lambda_contrastive", "weight_decay", "grad_clip"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0 and finite, got "

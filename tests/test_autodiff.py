@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cosmo import autodiff as ad
 from cosmo.autodiff import Tape, Tensor
+from gradcheck import grad_check
 
 
 def test_apply_matmul_identity():
@@ -89,28 +90,28 @@ def test_no_grad_without_requires_grad():
 
 def test_grad_check_quadratic():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    err = ad.grad_check(lambda: ad.sum_(ad.mul(x, x)), [x], eps=1e-5)
+    err = grad_check(lambda: ad.sum_(ad.mul(x, x)), [x], eps=1e-5)
     assert err < 1e-8
 
 
 def test_grad_check_constant():
     x = Tensor([1.0], requires_grad=True)
     c = Tensor([5.0])
-    err = ad.grad_check(lambda: ad.sum_(c), [x], eps=1e-5)
+    err = grad_check(lambda: ad.sum_(c), [x], eps=1e-5)
     assert err == 0.0
 
 
 def test_grad_check_rejects_bad_eps():
     x = Tensor([1.0], requires_grad=True)
     with pytest.raises(ValueError):
-        ad.grad_check(lambda: ad.sum_(x), [x], eps=1e-2)
+        grad_check(lambda: ad.sum_(x), [x], eps=1e-2)
 
 
 def test_grad_check_non_finite_loss():
     x = Tensor([0.0], requires_grad=True)
     with pytest.raises(FloatingPointError), \
             pytest.warns(RuntimeWarning, match="divide by zero"):
-        ad.grad_check(lambda: ad.sum_(ad.log(x)), [x], eps=1e-5)
+        grad_check(lambda: ad.sum_(ad.log(x)), [x], eps=1e-5)
 
 
 def test_softmax_rows_sum_to_one():
@@ -134,7 +135,7 @@ def test_every_op_matches_finite_differences():
         m, k, n = (int(rng.integers(1, 9)) for _ in range(3))
         a = Tensor(rng.normal(size=(m, k)), requires_grad=True)
         b = Tensor(rng.normal(size=(k, n)), requires_grad=True)
-        assert ad.grad_check(lambda: ad.sum_(ad.matmul(a, b)), [a, b]) < 1e-6
+        assert grad_check(lambda: ad.sum_(ad.matmul(a, b)), [a, b]) < 1e-6
 
         sh = _rand_shape(rng, 2)
         x = Tensor(rng.normal(size=sh), requires_grad=True)
@@ -164,11 +165,11 @@ def test_every_op_matches_finite_differences():
             lambda: ad.mean(ad.masked_fill(x, x.data > 0.5, -1.0)),
         ]
         for f in cases:
-            assert ad.grad_check(f, [x, y, row]) < 1e-4
+            assert grad_check(f, [x, y, row]) < 1e-4
 
         table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         ids = rng.integers(0, 6, size=5)
-        assert ad.grad_check(
+        assert grad_check(
             lambda: ad.sum_(ad.mul(ad.embedding_lookup(table, ids),
                                    ad.embedding_lookup(table, ids))),
             [table]) < 1e-6
@@ -176,9 +177,9 @@ def test_every_op_matches_finite_differences():
         # stacked matmul as used by multi-head attention
         h = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-        assert ad.grad_check(lambda: ad.sum_(ad.matmul(h, w)), [h, w]) < 1e-6
+        assert grad_check(lambda: ad.sum_(ad.matmul(h, w)), [h, w]) < 1e-6
         w2 = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        assert ad.grad_check(lambda: ad.sum_(ad.matmul(h, w2)), [h, w2]) < 1e-6
+        assert grad_check(lambda: ad.sum_(ad.matmul(h, w2)), [h, w2]) < 1e-6
 
 
 def test_embedding_lookup_range_check():
@@ -192,7 +193,7 @@ def test_composites():
     np.testing.assert_allclose(ad.rsqrt(x).data, [0.5, 1.0 / 3.0])
     np.testing.assert_allclose(ad.clamp(Tensor([-2.0, 0.5, 3.0]), 0.0, 1.0).data,
                                [0.0, 0.5, 1.0])
-    assert ad.grad_check(lambda: ad.sum_(ad.rsqrt(x)), [x]) < 1e-6
+    assert grad_check(lambda: ad.sum_(ad.rsqrt(x)), [x]) < 1e-6
 
 
 def test_gather_with_a_repeated_index_adds_its_gradients():
@@ -238,7 +239,7 @@ def test_matmul_nd_by_2d_gradients(shape, n, seed):
     rng = np.random.default_rng(seed)
     a, b = leaf(rng, shape), leaf(rng, (shape[-1], n))
     w = rng.normal(size=shape[:-1] + (n,))
-    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.matmul(a, b), Tensor(w))),
+    assert grad_check(lambda: ad.sum_(ad.mul(ad.matmul(a, b), Tensor(w))),
                          [a, b]) < 1e-6
 
 
@@ -248,7 +249,7 @@ def test_matmul_nd_by_nd_gradients(shape, n, seed):
     rng = np.random.default_rng(seed)
     a, b = leaf(rng, shape), leaf(rng, shape[:-2] + (shape[-1], n))
     w = rng.normal(size=shape[:-1] + (n,))
-    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.matmul(a, b), Tensor(w))),
+    assert grad_check(lambda: ad.sum_(ad.mul(ad.matmul(a, b), Tensor(w))),
                          [a, b]) < 1e-6
 
 
@@ -260,7 +261,7 @@ def test_transpose_with_axes_gradients(shape_axes, seed):
     rng = np.random.default_rng(seed)
     x = leaf(rng, shape)
     w = rng.normal(size=tuple(shape[i] for i in axes))
-    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.transpose(x, tuple(axes)),
+    assert grad_check(lambda: ad.sum_(ad.mul(ad.transpose(x, tuple(axes)),
                                                 Tensor(w))), [x]) < 1e-6
 
 
@@ -272,10 +273,10 @@ def test_reshape_and_softmax_gradients(shape, seed):
     axis = int(rng.integers(-len(shape), len(shape)))
     w = rng.normal(size=shape)
     for target in (tuple(reversed(shape)), (-1, shape[-1]), (1, *shape)):
-        assert ad.grad_check(
+        assert grad_check(
             lambda: ad.sum_(ad.mul(ad.reshape(x, target), Tensor(w.reshape(target)))),
             [x]) < 1e-6
-    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.softmax(x, axis=axis),
+    assert grad_check(lambda: ad.sum_(ad.mul(ad.softmax(x, axis=axis),
                                                 Tensor(w))), [x]) < 1e-6
 
 
@@ -289,14 +290,14 @@ def test_concat_and_slice_gradients(shape, extra, seed):
     x, y = leaf(rng, shape), leaf(rng, tuple(other))
     joined = ad.concat([x, y], axis=axis)
     w = rng.normal(size=joined.shape)
-    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.concat([x, y], axis=axis),
+    assert grad_check(lambda: ad.sum_(ad.mul(ad.concat([x, y], axis=axis),
                                                 Tensor(w))), [x, y]) < 1e-6
     lo = int(rng.integers(0, shape[axis]))
     key = [slice(None)] * len(shape)
     key[axis] = slice(lo, shape[axis])
     key = tuple(key)
     ws = rng.normal(size=x.data[key].shape)
-    assert ad.grad_check(lambda: ad.sum_(ad.mul(x[key], Tensor(ws))), [x]) < 1e-6
+    assert grad_check(lambda: ad.sum_(ad.mul(x[key], Tensor(ws))), [x]) < 1e-6
 
 
 @settings(max_examples=25, deadline=None)
@@ -308,7 +309,7 @@ def test_masked_fill_broadcast_mask_gradients(shape, seed):
     kept = shape[int(rng.integers(0, len(shape))):]
     mask = rng.random(tuple(s if rng.random() < 0.5 else 1 for s in kept)) < 0.5
     w = rng.normal(size=shape)
-    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.masked_fill(x, mask, -3.0),
+    assert grad_check(lambda: ad.sum_(ad.mul(ad.masked_fill(x, mask, -3.0),
                                                 Tensor(w))), [x]) < 1e-6
 
 
@@ -326,7 +327,7 @@ def test_gather_with_repeated_indices_gradients(shape, seed):
     paired = (rng.integers(0, shape[0], size=n), rng.integers(0, shape[1], size=n))
     for key in (along, paired):
         w = rng.normal(size=x.data[key].shape)
-        assert ad.grad_check(lambda: ad.sum_(ad.mul(x[key], Tensor(w))), [x]) < 1e-6
+        assert grad_check(lambda: ad.sum_(ad.mul(x[key], Tensor(w))), [x]) < 1e-6
 
 
 @settings(max_examples=25, deadline=None)
@@ -339,7 +340,7 @@ def test_log_softmax_values_and_gradients(shape, seed, spread):
     want = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     assert np.abs(ad.log_softmax(x, axis=axis).data - want).max() <= 1e-12
     w = rng.normal(size=shape)
-    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.log_softmax(x, axis=axis),
+    assert grad_check(lambda: ad.sum_(ad.mul(ad.log_softmax(x, axis=axis),
                                                 Tensor(w))), [x]) < 1e-6
 
 
@@ -353,7 +354,7 @@ def test_exp_and_log_values_and_gradients(shape, seed):
     assert ad.exp(x).data.tobytes() == np.exp(x.data).tobytes()
     assert ad.log(positive).data.tobytes() == np.log(positive.data).tobytes()
     for op, t in ((ad.exp, x), (ad.log, positive)):
-        assert ad.grad_check(lambda: ad.sum_(ad.mul(op(t), Tensor(w))), [t]) < 1e-6
+        assert grad_check(lambda: ad.sum_(ad.mul(op(t), Tensor(w))), [t]) < 1e-6
 
 
 # -- fused kernels against the chains they replace ----------------------------
@@ -415,7 +416,7 @@ def test_attention_gradients(case):
     rng, q, k, v, hidden = attention_inputs(case)
     w = rng.normal(size=ad.attention(q, k, v, 0.7).shape)
     for mask in (None, hidden):
-        assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.attention(q, k, v, 0.7, mask),
+        assert grad_check(lambda: ad.sum_(ad.mul(ad.attention(q, k, v, 0.7, mask),
                                                     Tensor(w))), [q, k, v]) < 1e-6
     # the fused node's gradients equal the chain's
     grads = []
@@ -463,7 +464,7 @@ def test_affine_layer_norm_equals_unfused_and_gradients(shape, seed):
     x.data = np.sort(x.data, axis=-1) + np.arange(shape[-1])
     for kw, params in (({"gain": g, "bias": b}, [x, g, b]), ({"gain": g}, [x, g]),
                        ({"bias": b}, [x, b])):
-        assert ad.grad_check(lambda: loss(**kw), params) < 1e-6
+        assert grad_check(lambda: loss(**kw), params) < 1e-6
 
 
 @settings(max_examples=25, deadline=None)
@@ -503,7 +504,7 @@ def test_layer_norm_nd_matches_mean_and_var_and_differences(shape, seed):
     for kw, params in (({}, [x]), ({"gain": g}, [x, g]), ({"bias": b}, [x, b]),
                        ({"gain": g, "bias": b}, [x, g, b])):
         f = lambda: ad.sum_(ad.mul(ad.layer_norm(x, axis=axis, **kw), Tensor(w)))  # noqa: E731
-        assert ad.grad_check(f, params) < 1e-6
+        assert grad_check(f, params) < 1e-6
 
 
 @settings(max_examples=25, deadline=None)
@@ -513,7 +514,7 @@ def test_gelu_nd_gradients_match_differences(shape, seed, spread):
     rng = np.random.default_rng(seed)
     x = Tensor(spread * rng.normal(size=shape), requires_grad=True)
     w = rng.normal(size=shape)
-    assert ad.grad_check(lambda: ad.sum_(ad.mul(ad.gelu(x), Tensor(w))), [x]) < 1e-6
+    assert grad_check(lambda: ad.sum_(ad.mul(ad.gelu(x), Tensor(w))), [x]) < 1e-6
 
 
 # -- layer kernels against the op chains they replace -------------------------
@@ -701,7 +702,7 @@ def test_decoder_block_gradients_match_differences(hide_row):
     w = rng.normal(size=(b, s, d))
     f = lambda: ad.sum_(ad.mul(ad.decoder_block(  # noqa: E731
         x, *ws, n_heads=n_heads, hidden=hidden, past=past)[0], Tensor(w)))
-    assert ad.grad_check(f, [x] + ws) <= 1e-6
+    assert grad_check(f, [x] + ws) <= 1e-6
 
 
 def test_gated_cross_attention_gradients_match_differences():
@@ -715,7 +716,7 @@ def test_gated_cross_attention_gradients_match_differences():
     w = rng.normal(size=(b, s, d))
     f = lambda: ad.sum_(ad.mul(ad.gated_cross_attention(  # noqa: E731
         x, *ws, visual, hidden)[0], Tensor(w)))
-    assert ad.grad_check(f, [x] + ws + [visual]) <= 1e-6
+    assert grad_check(f, [x] + ws + [visual]) <= 1e-6
 
 
 @pytest.mark.parametrize("n_past", [1, 3])

@@ -291,7 +291,7 @@ def test_no_media_doc_window_starts_at_zero():
 def test_shard_roundtrip(tmp_path):
     v = build_vocab(["red widget blue gizmo"], max_size=300)
     doc1 = Document(segments=[MediaRef(0), TextSpan("red widget")],
-                    media=[make_media(seed=1, source_id="img-1", min_side_px=64)],
+                    media=[make_media(seed=1, source_id="img-1")],
                     doc_id="a")
     doc2 = Document(
         segments=[MediaRef(0), TextSpan("blue gizmo"), MediaRef(1),
@@ -302,7 +302,6 @@ def test_shard_roundtrip(tmp_path):
     docs.write_shard([doc1, doc2], path)
     loaded = docs.read_shard(path)
     assert [d.doc_id for d in loaded] == ["a", "b"]
-    assert loaded[0].media[0].min_side_px == 64
     assert loaded[0].media[0].source_id == "img-1"
     assert loaded[1].media[0].kind == "video"
     np.testing.assert_allclose(loaded[1].media[1].features,

@@ -48,7 +48,7 @@ def test_cosmo_runs_without_scipy():
 
 
 def test_importing_cosmo_loads_no_ssl():
-    # urllib.request loads ssl (about 5 MB of RSS); only HttpAnnotator needs it
+    # urllib.request loads ssl (about 5 MB of RSS), which no module needs
     out = _run("""
 import importlib, pkgutil, sys
 import cosmo

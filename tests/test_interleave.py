@@ -18,10 +18,9 @@ class FailingCaptioner:
         raise RuntimeError("backend down")
 
 
-def pair_doc(n=3, px=None):
+def pair_doc(n=3):
     rng = np.random.default_rng(0)
-    media = [MediaItem("image", rng.normal(size=(1, 2, 4)), source_id=f"m{i}",
-                       min_side_px=None if px is None else px[i])
+    media = [MediaItem("image", rng.normal(size=(1, 2, 4)), source_id=f"m{i}")
              for i in range(n)]
     segments = []
     for i in range(n):
@@ -30,15 +29,6 @@ def pair_doc(n=3, px=None):
 
 
 # -- perturb ----------------------------------------------------------------
-
-def test_perturb_sigma_zero_limit():
-    rng = np.random.default_rng(0)
-    scores = np.array([[0.5, 0.1], [0.2, 0.6]])
-    out = il.perturb(scores, rng, sigma=1e-12)
-    np.testing.assert_allclose(out, scores, atol=1e-9)
-    with pytest.raises(ValueError):
-        il.perturb(scores, rng, sigma=0.0)
-
 
 def test_perturb_leaves_input_untouched():
     rng = np.random.default_rng(0)
@@ -187,29 +177,6 @@ def test_media_count_and_order_preserved():
             == [0, 1, 2]
 
 
-def test_mmc4_baseline_drops_below_threshold():
-    doc = pair_doc()
-    scores = np.full((3, 3), 0.0)
-    np.fill_diagonal(scores, [0.5, 0.23, 0.25])
-    out, rec = il.filter_and_replace(doc, scores, il.match(scores),
-                                     EchoCaptioner(),
-                                     replace_below=il.MMC4_BASELINE_THRESHOLD,
-                                     mode="drop")
-    assert rec.dropped_media == [1]
-    assert [m.source_id for m in out.media] == ["m0", "m2"]
-    assert [s.media_id for s in out.segments if isinstance(s, MediaRef)] == [0, 1]
-
-
-def test_small_images_filtered_and_empty_doc_dropped():
-    doc = pair_doc(px=[10, 12, 8])
-    scores = np.eye(3) * 0.5
-    out, rec = il.filter_and_replace(doc, scores, il.match(scores),
-                                     EchoCaptioner(), min_image_px=32)
-    assert out is None
-    assert rec.dropped
-    assert "no media left" in rec.reason
-
-
 def test_text_index_out_of_range_rejected():
     doc = pair_doc()
     scores = np.full((3, 4), 0.5)
@@ -228,34 +195,20 @@ def test_captioner_failure_quarantines():
     assert "captioner" in rec.reason
 
 
-# -- doc_stats --------------------------------------------------------------
+@pytest.mark.parametrize("caption", [None, 42])
+def test_captioner_non_str_quarantines(caption):
+    # unchecked, the caption was written to the shard and serialize failed
+    # on it only when training read the document
+    class OddCaptioner:
+        def generate(self, media):
+            return caption
 
-def test_doc_stats_single_pair():
-    media = [MediaItem("image", np.zeros((1, 2, 4)))]
-    doc = Document(segments=[MediaRef(0),
-                             TextSpan("one two three four five six seven eight "
-                                      "nine ten")],
-                   media=media, doc_id="x")
-    scores = np.array([[0.5]])
-    stats = il.doc_stats([(doc, scores, [(0, 0)])])
-    assert stats["avg_tokens_per_clip"] == 10
-    assert stats["avg_similarity"] == 0.5
-    assert stats["counts"]["pairs"] == 1
-
-
-def test_doc_stats_average_of_two():
-    media = [MediaItem("image", np.zeros((1, 2, 4))) for _ in range(2)]
-    doc = Document(segments=[MediaRef(0), TextSpan("a b"), MediaRef(1),
-                             TextSpan("c d")],
-                   media=media, doc_id="x")
-    scores = np.array([[0.2, 0.0], [0.0, 0.4]])
-    stats = il.doc_stats([(doc, scores, [(0, 0), (1, 1)])])
-    assert abs(stats["avg_similarity"] - 0.3) < 1e-12
-
-
-def test_doc_stats_empty():
-    with pytest.raises(ValueError):
-        il.doc_stats([])
+    scores = np.eye(3) * 0.1  # everything below threshold
+    out, rec = il.filter_and_replace(pair_doc(), scores, il.match(scores),
+                                     OddCaptioner())
+    assert out is None
+    assert rec.dropped
+    assert rec.reason == f"captioner: returned {type(caption).__name__}, not str"
 
 
 # -- shard driver -----------------------------------------------------------

@@ -12,6 +12,7 @@ from cosmo import model as cm
 from cosmo import training as tr
 from cosmo.autodiff import Tape, Tensor
 from cosmo.model import ModelConfig
+from gradcheck import grad_check
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -885,7 +886,7 @@ def test_pooling_query_gradient_matches_finite_differences():
         return cm.contrastive_loss(ad.concat(ts, axis=0), ad.concat(vs, axis=0),
                                    cm.logit_scale(m))
 
-    assert ad.grad_check(f, params, eps=1e-5) < 1e-4
+    assert grad_check(f, params, eps=1e-5) < 1e-4
 
 
 def test_fusion_gradients_match_finite_differences():
@@ -903,4 +904,4 @@ def test_fusion_gradients_match_finite_differences():
         logits = cm.forward_logits(m, ids, feats, pos)
         return cm.lm_loss(logits, targets, mask)
 
-    assert ad.grad_check(f, params, eps=1e-5) < 1e-4
+    assert grad_check(f, params, eps=1e-5) < 1e-4

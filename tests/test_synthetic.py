@@ -1,6 +1,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from cosmo import model as cm
 from cosmo import synthetic as sy
@@ -23,6 +24,22 @@ def tiny_model(vocab):
     return cm.build(cm.ModelConfig(vocab_size=len(vocab), d_model=16, n_heads=2,
                                    n_latents=2, d_vision=8, n_patches=2,
                                    d_embed_contrastive=8, max_seq=64), seed=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_colors", 1, "need at least 2 classes and 2 colors"),
+    ("n_colors", 0, "need at least 2 classes and 2 colors"),
+    ("feature_noise", float("nan"), "feature_noise must be >= 0 and finite"),
+    ("feature_noise", float("inf"), "feature_noise must be >= 0 and finite"),
+    ("repeat_prob", -0.1, "repeat_prob must be in"),
+    ("repeat_prob", 1.5, "repeat_prob must be in"),
+    ("repeat_prob", float("nan"), "repeat_prob must be in")])
+def test_spec_rejects_values_that_fail_later(field, value, message):
+    # unchecked, fewer than 2 colors leave no seen combination for some class
+    # and make_synthetic_corpus fails inside numpy, and a NaN noise writes
+    # all-NaN features without an error
+    with pytest.raises(ValueError, match=message):
+        sy.SyntheticTaskSpec(**{field: value})
 
 
 def test_corpus_loads_and_pair_spans_cover_captions(tmp_path):

@@ -103,7 +103,13 @@ def test_default_config_has_no_warmup_and_two_schedules():
     ("max_steps", float("nan"), "max_steps must be >= 1 and finite"),
     ("max_steps", float("inf"), "max_steps must be >= 1 and finite"),
     ("checkpoint_every", -1, "checkpoint_every must be >= 0 and finite"),
-    ("checkpoint_every", float("nan"), "checkpoint_every must be >= 0 and finite")])
+    ("checkpoint_every", float("nan"), "checkpoint_every must be >= 0 and finite"),
+    ("batch_size", 2.5, "batch_size must be an int"),
+    ("batch_size", True, "batch_size must be an int"),
+    ("window_len", 32.5, "window_len must be an int"),
+    ("max_steps", 10.5, "max_steps must be an int"),
+    ("warmup_steps", 1.5, "warmup_steps must be an int"),
+    ("checkpoint_every", 0.5, "checkpoint_every must be an int")])
 def test_train_config_rejects_out_of_range(field, value, message):
     # unchecked, batch_size 0 divides by zero in DataSource.n_batches, warmup
     # -1 shifts the cosine schedule silently, a window below 8 tokens fails
@@ -111,7 +117,9 @@ def test_train_config_rejects_out_of_range(field, value, message):
     # contrastive loss, and a negative weight decay grows the weights; a NaN
     # lr, lambda or weight decay turns learnables NaN after one step, and a
     # NaN or negative grad_clip turns clipping off; max_steps below 1 or NaN
-    # wrote final.ckpt without a step, and checkpoint_every -1 saved every step
+    # wrote final.ckpt without a step, and checkpoint_every -1 saved every step;
+    # checkpoint_every 0.5 divides every step, and a fractional batch_size or
+    # window_len failed only when slicing
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{field: value})
 

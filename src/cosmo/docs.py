@@ -259,6 +259,7 @@ def write_shard(docs: list[Document], path: str) -> None:
 
 
 def read_shard(path: str) -> list[Document]:
+    """The shard's documents; a malformed record raises ValueError naming it."""
     with open(path + ".bin", "rb") as f:
         blob = f.read()
     docs: list[Document] = []
@@ -266,17 +267,24 @@ def read_shard(path: str) -> list[Document]:
         for line_no, line in enumerate(f):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            media = []
-            for mr in rec["media"]:
-                shape = mr["shape"]
-                feats = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape)),
-                                      offset=mr["offset"]).reshape(shape)
-                media.append(MediaItem(kind=mr["kind"], features=feats.copy(),
-                                       source_id=mr.get("source_id", "")))
-            segments: list[Segment] = []
-            for s in rec["segments"]:
-                segments.append(MediaRef(s["m"]) if "m" in s else TextSpan(s["t"]))
-            docs.append(Document(segments=segments, media=media,
-                                 doc_id=rec.get("id", str(line_no))))
+            try:
+                rec = json.loads(line)
+                media = []
+                for mr in rec["media"]:
+                    shape = mr["shape"]
+                    if min(shape) < 1:  # reshape would infer a -1 from the bytes
+                        raise ValueError(f"media shape {shape} has an entry below 1")
+                    feats = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape)),
+                                          offset=mr["offset"]).reshape(shape)
+                    media.append(MediaItem(kind=mr["kind"], features=feats.copy(),
+                                           source_id=mr.get("source_id", "")))
+                segments: list[Segment] = []
+                for s in rec["segments"]:
+                    if "m" not in s and type(s["t"]) is not str:
+                        raise ValueError(f"text segment {s['t']!r} is not a string")
+                    segments.append(MediaRef(s["m"]) if "m" in s else TextSpan(s["t"]))
+                docs.append(Document(segments=segments, media=media,
+                                     doc_id=rec.get("id", str(line_no))))
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"{path} line {line_no + 1}: {e!r}") from e
     return docs

@@ -36,8 +36,9 @@ class SyntheticTaskSpec:
     feature_noise: float = 0.05
     n_train: int = 16  # documents per data type
     seed: int = 0
-    d_vision: int = 32
-    n_patches: int = 4
+    # the default model's sizes, so that the default task runs on it
+    d_vision: int = cm.ModelConfig.d_vision
+    n_patches: int = cm.ModelConfig.n_patches
     repeat_prob: float = 0.5  # chance an interleaved slot repeats an earlier pair
 
     def __post_init__(self):

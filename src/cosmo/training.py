@@ -1,9 +1,10 @@
-"""Multi-source training loop with accumulation, schedules, and loss guards.
+"""Multi-source training loop with accumulation, a schedule, and loss guards.
 
 Every document, pairs included, is cut by ``sample_window``, so
-``window_len`` bounds every sample. One accumulation cycle visits every data
-source (one batch each, under the min/max strategies), weights each source's
-loss, and applies a single clipped AdamW update to the learnable parameters.
+``window_len`` bounds every sample. One accumulation cycle takes one batch
+from every data source, weights each source's loss, and applies a single
+clipped AdamW update to the learnable parameters; the epoch ends with the
+shortest source. The learning rate warms up linearly, then follows a cosine.
 ``guard`` judges each sub-loss against its running average (a bias-corrected
 EMA, decay ``GUARD_EMA_DECAY``): it skips a non-finite value and scales one
 above ``GUARD_SPIKE_FACTOR`` times the average back down to it, with a
@@ -58,13 +59,13 @@ class SourceSpec:
 @dataclass
 class TrainConfig:
     lr_max: float = 5e-4
-    schedule: str = "cosine"  # cosine | constant
+    schedule: str = "cosine"  # the only schedule; kept while perfbench passes it
     warmup_steps: int = 0
     max_steps: int = 1000
     weight_decay: float = 0.1
     grad_clip: float = 1.0
     batch_size: int = 4
-    loader_strategy: str = "min"  # round_robin | min | max
+    loader_strategy: str = "min"  # the only loader rule; kept while perfbench passes it
     lambda_contrastive: float = 1.0  # against the LM loss, whose weight is 1
     window_len: int = 128
     checkpoint_every: int = 0  # 0: only at the end
@@ -92,22 +93,20 @@ class TrainConfig:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0 and finite, got "
                                  f"{getattr(self, name)}")
-        if self.schedule not in ("cosine", "constant"):
+        if self.schedule != "cosine":
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.loader_strategy not in ("round_robin", "min", "max"):
+        if self.loader_strategy != "min":
             raise ValueError(f"unknown loader strategy {self.loader_strategy!r}")
 
 
 def lr_at(step: int, config: TrainConfig) -> float:
-    """Learning rate at an integer step, per the configured schedule."""
+    """Learning rate at an integer step: linear warm-up, then a cosine to 0."""
     if step < 0:
         raise ValueError("step must be >= 0")
     step = min(step, config.max_steps)
     w = config.warmup_steps
     if w > 0 and step < w:
         return config.lr_max * step / w
-    if config.schedule == "constant":
-        return config.lr_max
     p = (step - w) / max(1, config.max_steps - w)
     return config.lr_max * 0.5 * (1.0 + math.cos(math.pi * p))
 
@@ -219,37 +218,30 @@ class DataSource:
 
 
 class CycleLoader:
-    """Yields accumulation cycles per the configured sampling strategy."""
+    """Cycles of one batch per source until any source runs out: rule "min"."""
 
     def __init__(self, sources: list[DataSource], strategy: str):
         if not sources:
             raise ValueError("no data sources configured")
+        if strategy != "min":
+            raise ValueError(f"unknown loader strategy {strategy!r}")
         self.sources = sources
-        self.strategy = strategy
-        self._rr_next = 0
 
     def start_epoch(self, rng: np.random.Generator) -> None:
         for s in self.sources:
             s.reset_epoch(rng)
-        self._rr_next = 0
 
     def get_state(self) -> dict:
-        return {"rr_next": self._rr_next,
-                "sources": [{"perm": None if s.perm is None else s.perm.tolist(),
+        return {"sources": [{"perm": None if s.perm is None else s.perm.tolist(),
                              "cursor": s.cursor} for s in self.sources]}
 
     def set_state(self, st: dict) -> None:
-        """Restore what ``get_state`` saved, which must fit these sources."""
+        """Restore what ``get_state`` saved, which must fit these sources. Other
+        keys, such as an older state's rotation cursor, are ignored."""
         n = len(self.sources)
         if len(st["sources"]) != n:
             raise ValueError(f"loader state holds {len(st['sources'])} sources, "
                              f"the loader {n}")
-        rr_next = st["rr_next"]
-        if type(rr_next) is not int:
-            raise ValueError(f"loader state rr_next {rr_next!r} is not an int")
-        if not 0 <= rr_next < n:
-            raise ValueError(f"loader state rr_next {rr_next} is out of range for "
-                             f"{n} sources")
         for s, ss in zip(self.sources, st["sources"]):
             name, cursor, perm = s.spec.name, ss["cursor"], ss["perm"]
             if type(cursor) is not int or not 0 <= cursor <= s.n_batches:
@@ -262,34 +254,15 @@ class CycleLoader:
             if perm is not None and sorted(perm) != list(range(len(s.docs))):
                 raise ValueError(f"loader state perm of source {name!r} is not a "
                                  f"permutation of its document indices")
-        self._rr_next = rr_next
         for s, ss in zip(self.sources, st["sources"]):
             s.perm = None if ss["perm"] is None else np.asarray(ss["perm"])
             s.cursor = ss["cursor"]
 
     def next_cycle(self, rng: np.random.Generator):
-        """A list of (SourceSpec, batch), or EPOCH_END."""
-        if self.strategy == "min":
-            if any(s.exhausted() for s in self.sources):
-                return EPOCH_END
-            return [(s.spec, s.next_batch(rng)) for s in self.sources]
-        if self.strategy == "max":
-            largest = max(self.sources, key=lambda s: s.n_batches)
-            if largest.exhausted():
-                return EPOCH_END
-            out = []
-            for s in self.sources:
-                if s.exhausted():
-                    s.reset_epoch(rng)
-                out.append((s.spec, s.next_batch(rng)))
-            return out
-        # round_robin: drain one source per cycle in fixed rotation
-        for _ in range(len(self.sources)):
-            s = self.sources[self._rr_next]
-            self._rr_next = (self._rr_next + 1) % len(self.sources)
-            if not s.exhausted():
-                return [(s.spec, s.next_batch(rng))]
-        return EPOCH_END
+        """A list of (SourceSpec, batch), one per source, or EPOCH_END."""
+        if any(s.exhausted() for s in self.sources):
+            return EPOCH_END
+        return [(s.spec, s.next_batch(rng)) for s in self.sources]
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +464,9 @@ def make_sources(specs: list[SourceSpec], vocab: Vocab,
 def train(model: cm.Model, sources: list[DataSource], config: TrainConfig,
           out_dir: str, vocab: Vocab, state: TrainState | None = None,
           loader_state: dict | None = None, loss_hook=None) -> TrainState:
-    """Train until max_steps; writes an ndjson metric stream and checkpoints."""
+    """Train until max_steps; writes an ndjson metric stream and checkpoints.
+    The stream drops its rows from ``state.step`` on, which a run past the
+    resumed checkpoint wrote, and reaches the disk before each save."""
     os.makedirs(out_dir, exist_ok=True)
     if state is None:
         state = init_state(model, model.seed)
@@ -500,8 +475,20 @@ def train(model: cm.Model, sources: list[DataSource], config: TrainConfig,
         loader.set_state(loader_state)
     else:
         loader.start_epoch(state.rng)
-    mode = "a" if state.step > 0 else "w"
-    with open(os.path.join(out_dir, "metrics.ndjson"), mode) as mf:
+    with open(os.path.join(out_dir, "metrics.ndjson"), "a+") as mf:
+        mf.seek(0)
+        end = 0
+        for line in iter(mf.readline, ""):  # rows are in step order
+            if not line.endswith("\n") or json.loads(line)["step"] >= state.step:
+                break  # a torn last row goes too
+            end = mf.tell()
+        mf.truncate(end)
+
+        def checkpoint(name: str) -> None:
+            mf.flush()
+            os.fsync(mf.fileno())
+            save_checkpoint(os.path.join(out_dir, name), model, state, config,
+                            vocab, loader.get_state())
         while state.step < config.max_steps:
             cycle = loader.next_cycle(state.rng)
             if cycle is EPOCH_END:
@@ -510,10 +497,8 @@ def train(model: cm.Model, sources: list[DataSource], config: TrainConfig,
             for row in train_step(model, cycle, state, config, loss_hook):
                 mf.write(json.dumps(row, sort_keys=True) + "\n")
             if config.checkpoint_every and state.step % config.checkpoint_every == 0:
-                save_checkpoint(os.path.join(out_dir, f"step{state.step}.ckpt"),
-                                model, state, config, vocab, loader.get_state())
-    save_checkpoint(os.path.join(out_dir, "final.ckpt"), model, state, config,
-                    vocab, loader.get_state())
+                checkpoint(f"step{state.step}.ckpt")
+        checkpoint("final.ckpt")
     return state
 
 
@@ -585,8 +570,14 @@ def load_checkpoint(path: str) -> tuple[cm.Model, TrainState, TrainConfig,
                   "events", "rng_state"), "manifest 'train'")
     _check_fields(cm.ModelConfig, manifest["config"], "model config")
     _check_fields(TrainConfig, tr["config"], "train config")
-    config = cm.ModelConfig(**manifest["config"])
-    model = cm.build(config, seed=manifest["seed"])
+    try:  # a value this version refuses
+        model = cm.build(cm.ModelConfig(**manifest["config"]), seed=manifest["seed"])
+    except (TypeError, ValueError) as e:
+        raise ArchiveError(f"model config: {e}") from e
+    try:
+        train_config = TrainConfig(**tr["config"])
+    except (TypeError, ValueError) as e:
+        raise ArchiveError(f"train config: {e}") from e
     for name, p in list(model.frozen_params.items()) + \
             list(model.learnable_params.items()):
         p.data = _array(arrays, name, p.shape)
@@ -600,6 +591,5 @@ def load_checkpoint(path: str) -> tuple[cm.Model, TrainState, TrainConfig,
     for name, p in model.learnable_params.items():
         state.adam_m[name] = _array(arrays, "optim/m/" + name, p.shape)
         state.adam_v[name] = _array(arrays, "optim/v/" + name, p.shape)
-    train_config = TrainConfig(**tr["config"])
     vocab = Vocab.from_dict(manifest["vocab"])
     return model, state, train_config, vocab, tr.get("loader")

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -311,3 +314,26 @@ def test_shard_roundtrip(tmp_path):
     assert ids_a == ids_b
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shard.jsonl",
                                                           "shard.jsonl.bin"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # np.prod went negative, so frombuffer read every float to the end and
+    # reshape inferred the -1: document 0 took both documents' features
+    (lambda rec: rec["media"][0].update(shape=[1, -1, 4]),
+     r"media shape \[1, -1, 4\] has an entry below 1"),
+    # loaded, then serialize failed with AttributeError
+    (lambda rec: rec["segments"][1].update(t=42),
+     "text segment 42 is not a string")],
+    ids=["negative_shape", "text_not_a_string"])
+def test_read_shard_refuses_malformed_record(tmp_path, edit, message):
+    path = str(tmp_path / "shard.jsonl")
+    docs.write_shard([Document(segments=[MediaRef(0), TextSpan("red widget")],
+                               media=[make_media(d=4, seed=i)], doc_id=str(i))
+                      for i in range(2)], path)
+    with open(path) as f:
+        recs = [json.loads(line) for line in f]
+    edit(recs[0])
+    with open(path, "w") as f:
+        f.writelines(json.dumps(rec) + "\n" for rec in recs)
+    with pytest.raises(ValueError, match=f"{re.escape(path)} line 1: .*{message}"):
+        docs.read_shard(path)

@@ -754,7 +754,7 @@ def _source(data_type, weight=1.0):
 def _cycle_grads(cycle, **train_kw):
     """Gradients of one train_step over ``cycle`` on a fresh model (no clipping)."""
     model = cm.build(toy_config(), seed=0)
-    config = tr.TrainConfig(schedule="constant", warmup_steps=1, max_steps=3,
+    config = tr.TrainConfig(warmup_steps=1, max_steps=3,
                             grad_clip=0.0, **train_kw)
     rows = tr.train_step(model, cycle, tr.init_state(model, seed=0), config)
     return rows, {k: p.grad for k, p in model.learnable_params.items()}

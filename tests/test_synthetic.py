@@ -104,6 +104,16 @@ def test_eval_fewshot_match_agrees_with_decode(tmp_path):
     assert res["caption_exact_match"] == np.mean(res["per_episode_match"])
 
 
+def test_default_task_runs_on_the_default_model(tmp_path):
+    # the spec's d_vision was 32 against the model's 16: encode_media failed
+    meta = sy.make_synthetic_corpus(sy.SyntheticTaskSpec(), str(tmp_path))
+    vocab = build_vocab(sy.corpus_texts(meta), max_size=300)
+    model = cm.build(cm.ModelConfig(vocab_size=len(vocab)), seed=0)
+    episodes = sy.make_episodes(meta, 2, 2, np.random.default_rng(0))
+    res = sy.eval_fewshot(model, vocab, episodes, meta)
+    assert len(res["per_episode_match"]) == 2
+
+
 def test_batched_embeddings_match_unbatched_towers(tmp_path, monkeypatch):
     """Each row of the batched embeddings equals the tower run on a one-row
     batch of its caption or media item, as training runs it."""

@@ -17,7 +17,7 @@ from cosmo.training import (EPOCH_END, CycleLoader, DataSource, SourceSpec,
 
 
 def cfg(**kw):
-    base = dict(lr_max=1e-3, schedule="constant", warmup_steps=2, max_steps=10,
+    base = dict(lr_max=1e-3, warmup_steps=2, max_steps=10,
                 batch_size=2, loader_strategy="min", window_len=16)
     base.update(kw)
     return TrainConfig(**base)
@@ -68,20 +68,14 @@ def test_cosine_closed_forms():
     assert abs(lr_at(600, c) - 0.5 * (1 + math.cos(math.pi * 0.5))) < 1e-12
 
 
-def test_constant_schedule():
-    c = cfg(schedule="constant", warmup_steps=10, max_steps=100, lr_max=0.3)
-    for s in (10, 55, 100):
-        assert lr_at(s, c) == 0.3
-
-
 def test_step_clamped_beyond_max():
     c = cfg(schedule="cosine", warmup_steps=0, max_steps=100)
     assert lr_at(150, c) == lr_at(100, c)
 
 
-def test_default_config_has_no_warmup_and_two_schedules():
+def test_default_config_has_no_warmup_and_one_schedule():
     assert lr_at(0, TrainConfig(lr_max=0.3)) == 0.3
-    for name in ("cosine_restart", "inverse_sqrt"):
+    for name in ("constant", "cosine_restart", "inverse_sqrt"):
         with pytest.raises(ValueError, match="unknown schedule"):
             TrainConfig(schedule=name)
 
@@ -238,35 +232,17 @@ def test_min_strategy_cycle_count(tmp_path):
     assert count_cycles(loader, np.random.default_rng(0)) == 10
 
 
-def test_max_strategy_restarts_small_source(tmp_path):
+@pytest.mark.parametrize("strategy", ["round_robin", "max"])
+def test_only_the_min_loader_rule_is_accepted(tmp_path, strategy):
     vocab = build_vocab(["red widget"], max_size=300)
-    sources = make_sized_sources(tmp_path, vocab, [10, 20])
-    loader = CycleLoader(sources, "max")
-    rng = np.random.default_rng(0)
-    loader.start_epoch(rng)
-    n = 0
-    while loader.next_cycle(rng) is not EPOCH_END:
-        n += 1
-    assert n == 20
+    sources = make_sized_sources(tmp_path, vocab, [1, 1])
+    with pytest.raises(ValueError, match="unknown loader strategy"):
+        TrainConfig(loader_strategy=strategy)
+    with pytest.raises(ValueError, match="unknown loader strategy"):
+        CycleLoader(sources, strategy)
 
 
-def test_round_robin_single_draws(tmp_path):
-    vocab = build_vocab(["red widget"], max_size=300)
-    sources = make_sized_sources(tmp_path, vocab, [1, 1, 1])
-    loader = CycleLoader(sources, "round_robin")
-    rng = np.random.default_rng(0)
-    loader.start_epoch(rng)
-    seen = []
-    while True:
-        c = loader.next_cycle(rng)
-        if c is EPOCH_END:
-            break
-        assert len(c) == 1
-        seen.append(c[0][0].name)
-    assert seen == ["src0", "src1", "src2"]
-
-
-def test_min_max_cycle_has_one_batch_per_source(tmp_path):
+def test_min_cycle_has_one_batch_per_source(tmp_path):
     vocab = build_vocab(["red widget"], max_size=300)
     sources = make_sized_sources(tmp_path, vocab, [3, 3])
     loader = CycleLoader(sources, "min")
@@ -280,9 +256,6 @@ def test_min_max_cycle_has_one_batch_per_source(tmp_path):
     (lambda st: st["sources"].pop(), "loader state holds 2 sources, the loader 3"),
     (lambda st: st["sources"][1]["perm"].pop(),
      "perm of source 'src1' has 2 entries, the source 3 documents"),
-    (lambda st: st.update(rr_next=3), "rr_next 3 is out of range for 3 sources"),
-    # 1.5 passed the range check, and the next round-robin cycle raised TypeError
-    (lambda st: st.update(rr_next=1.5), "rr_next 1.5 is not an int"),
     # -1 gave a cycle of empty batches, logged as skipped; -3 re-read documents
     (lambda st: st["sources"][0].update(cursor=-1),
      r"cursor -1 of source 'src0' is not a batch index in \[0, 3\]"),
@@ -292,17 +265,31 @@ def test_min_max_cycle_has_one_batch_per_source(tmp_path):
     # one document, trained on three times an epoch
     (lambda st: st["sources"][1].update(perm=[0, 0, 0]),
      "perm of source 'src1' is not a permutation of its document indices")],
-    ids=["source_count", "perm_length", "rr_next", "rr_next_float", "cursor_minus_1",
-         "cursor_minus_3", "cursor_past_end", "cursor_float", "perm_repeats"])
+    ids=["source_count", "perm_length", "cursor_minus_1", "cursor_minus_3",
+         "cursor_past_end", "cursor_float", "perm_repeats"])
 def test_loader_state_must_fit_sources(tmp_path, change, message):
     vocab = build_vocab(["red widget"], max_size=300)
     sources = make_sized_sources(tmp_path, vocab, [3, 3, 3])
-    loader = CycleLoader(sources, "round_robin")
+    loader = CycleLoader(sources, "min")
     loader.start_epoch(np.random.default_rng(0))
     st = loader.get_state()
     change(st)
     with pytest.raises(ValueError, match=message):
-        CycleLoader(sources, "round_robin").set_state(st)
+        CycleLoader(sources, "min").set_state(st)
+
+
+def test_loader_state_with_rotation_cursor_restores(tmp_path):
+    # states saved before the round-robin rule was removed carry "rr_next"
+    vocab = build_vocab(["red widget"], max_size=300)
+    sources = make_sized_sources(tmp_path, vocab, [3, 3])
+    rng = np.random.default_rng(0)
+    loader = CycleLoader(sources, "min")
+    loader.start_epoch(rng)
+    loader.next_cycle(rng)
+    st = loader.get_state()
+    restored = CycleLoader(make_sized_sources(tmp_path, vocab, [3, 3]), "min")
+    restored.set_state({**st, "rr_next": 1})
+    assert restored.get_state() == st
 
 
 def test_empty_source_rejected(tmp_path):
@@ -545,9 +532,10 @@ def test_skipped_param_resumes_with_fresh_adam_step():
 def test_loss_decreases_on_fixed_caption(tiny_setup):
     vocab, specs, model, tmp = tiny_setup
     # The fusion gates start at zero and Adam moves a gate by about lr per
-    # step, so the visual path opens slowly: 90 steps at 3e-3 lets tanh(gate)
-    # reach about 0.3, enough for the caption to be fitted.
-    config = cfg(max_steps=90, warmup_steps=2, lr_max=3e-3,
+    # step, so the visual path opens slowly. The cosine's mean over its span
+    # is lr_max / 2, so 90 steps at lr_max 6e-3 let tanh(gate) reach about
+    # 0.3, enough for the caption to be fitted.
+    config = cfg(max_steps=90, warmup_steps=2, lr_max=6e-3,
                  lambda_contrastive=0.0)
     sources = tr.make_sources(specs[:1], vocab, config)
     state = tr.train(model, sources, config, str(tmp / "out"), vocab)
@@ -798,6 +786,28 @@ def test_checkpoint_config_field_mismatch_refused(tiny_setup, tmp_path):
         tr.load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("train", "schedule", "linear", "train config: unknown schedule 'linear'"),
+    ("train", "loader_strategy", "round_robin",
+     "train config: unknown loader strategy 'round_robin'"),
+    ("model", "split_index", 0, "model config: split_index must satisfy")],
+    ids=["schedule_linear", "loader_round_robin", "split_index_0"])
+def test_checkpoint_refused_config_value_raises_archive_error(
+        tiny_setup, tmp_path, section, key, value, message):
+    vocab, specs, model, tmp = tiny_setup
+    config = cfg(max_steps=1)
+    tr.train(model, tr.make_sources(specs, vocab, config), config,
+             str(tmp / "out"), vocab)
+    from cosmo.checkpoint import load_archive, save_archive, ArchiveError
+    manifest, arrays = load_archive(str(tmp / "out" / "final.ckpt"))
+    configs = {"train": manifest["train"]["config"], "model": manifest["config"]}
+    configs[section][key] = value
+    bad = str(tmp_path / "bad.ckpt")
+    save_archive(bad, manifest, arrays)
+    with pytest.raises(ArchiveError, match=message):
+        tr.load_checkpoint(bad)
+
+
 def test_checkpoint_missing_key_refused(tiny_setup, tmp_path):
     vocab, specs, model, tmp = tiny_setup
     config = cfg(max_steps=2)
@@ -865,3 +875,24 @@ def test_resume_matches_uninterrupted(tiny_setup):
     a = (tmp / "full" / "final.ckpt").read_bytes()
     b = (tmp / "resumed" / "final.ckpt").read_bytes()
     assert a == b
+
+
+def test_resume_from_an_earlier_checkpoint_keeps_one_row_per_step(tiny_setup):
+    vocab, specs, model, tmp = tiny_setup
+    full_cfg = cfg(max_steps=4, checkpoint_every=2)
+    tr.train(cm.build(model.config, seed=0), tr.make_sources(specs, vocab, full_cfg),
+             full_cfg, str(tmp / "full"), vocab)
+
+    # a run that went past step2.ckpt and died mid-row
+    run_cfg = cfg(max_steps=3, checkpoint_every=2)
+    tr.train(cm.build(model.config, seed=0), tr.make_sources(specs, vocab, run_cfg),
+             run_cfg, str(tmp / "resumed"), vocab)
+    with open(tmp / "resumed" / "metrics.ndjson", "a") as f:
+        f.write('{"c_loss": 0.5, "gat')
+    m2, state2, _, vocab2, loader_state = tr.load_checkpoint(
+        str(tmp / "resumed" / "step2.ckpt"))
+    tr.train(m2, tr.make_sources(specs, vocab2, full_cfg), full_cfg,
+             str(tmp / "resumed"), vocab2, state=state2, loader_state=loader_state)
+
+    assert ((tmp / "resumed" / "metrics.ndjson").read_bytes()
+            == (tmp / "full" / "metrics.ndjson").read_bytes())

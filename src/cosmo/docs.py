@@ -15,6 +15,7 @@ media record names its ``offset`` into the ``.bin`` file and its ``shape``.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -274,7 +275,7 @@ def read_shard(path: str) -> list[Document]:
                     shape = mr["shape"]
                     if min(shape) < 1:  # reshape would infer a -1 from the bytes
                         raise ValueError(f"media shape {shape} has an entry below 1")
-                    feats = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape)),
+                    feats = np.frombuffer(blob, dtype="<f4", count=math.prod(shape),
                                           offset=mr["offset"]).reshape(shape)
                     media.append(MediaItem(kind=mr["kind"], features=feats.copy(),
                                            source_id=mr.get("source_id", "")))

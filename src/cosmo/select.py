@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,17 +35,36 @@ def filter_half(pairs: list[EmbeddedPair]) -> list[EmbeddedPair]:
     """Keep the ceil(n/2) highest-similarity pairs; ties broken by id."""
     if len(pairs) < 2:
         raise ValueError(f"need at least 2 pairs, got {len(pairs)}")
+    neg_sims = np.array([-p.similarity for p in pairs], dtype=np.float64)
+    finite = np.isfinite(neg_sims)
+    if not finite.all():
+        raise ValueError(f"pair {pairs[int(np.argmin(finite))].id!r} has a "
+                         f"non-finite similarity")
     keep = (len(pairs) + 1) // 2
-    ranked = sorted(pairs, key=lambda p: (-p.similarity, p.id))
-    return ranked[:keep]
+    # object keys compare as Python str (a unicode array drops trailing NULs)
+    ids = np.array([p.id for p in pairs], dtype=object)
+    return [pairs[i] for i in np.lexsort((ids, neg_sims))[:keep].tolist()]
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+# Relative slack under which two squared distances count as tied in kmeans.
+_TIE_EPS = 1e-12
+
+
+def _sq_dist(x: np.ndarray, xx: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """||x - c||^2 per row as xx - 2 x.c + c.c, with ties to c read as 0."""
+    cc = c @ c
+    d2 = xx - 2.0 * (x @ c) + cc
+    d2[d2 <= _TIE_EPS * (xx + cc)] = 0.0
+    return d2
+
+
+def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
     centroids[0] = x[first]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    d2 = _sq_dist(x, xx, centroids[0])
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -52,12 +72,8 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centroids[j] = x[idx]
-        d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dist(x, xx, centroids[j]))
     return centroids
-
-
-# Relative slack under which two squared distances count as tied in kmeans.
-_TIE_EPS = 1e-12
 
 
 def kmeans(pairs: list[EmbeddedPair], k: int, max_iters: int = 50,
@@ -74,9 +90,20 @@ def kmeans(pairs: list[EmbeddedPair], k: int, max_iters: int = 50,
     per pass, ||x||^2 once per call). Its rounding error is about
     eps * ||x||^2, so it agrees with the direct sum of squared differences
     only while the points' norms are near the scale of the distances between
-    them (the unit-norm embeddings of `curate` are); far from the origin a
-    distance can read negative and near-equidistant centroids can swap order,
-    changing the assignment and the point the empty-cluster repair takes.
+    them (in `curate`, norms of about 40 against distances of 8 to 20); far
+    from the origin a distance can read negative and near-equidistant
+    centroids can swap order, changing the assignment and the point the
+    empty-cluster repair takes. Each update takes all k means as one
+    one-hot [k, n] product with the points over the cluster sizes; BLAS may
+    sum in another order than a per-cluster mean, so a centroid can differ
+    from that mean in the last bits.
+
+    The k-means++ seeding takes its D^2 weights in the same form, one
+    matrix-vector product per centroid, so they differ from the direct sum in
+    the last bits. A weight within ``_TIE_EPS`` of the squared norms (a point
+    on a chosen centroid, or a negative rounding) reads exactly 0, so a
+    duplicate of a chosen point is never drawn, and a zero total (every point
+    on a centroid) falls back to a uniform draw. Ids must be unique.
     """
     n = len(pairs)
     if k < 1:
@@ -85,16 +112,21 @@ def kmeans(pairs: list[EmbeddedPair], k: int, max_iters: int = 50,
         raise ValueError(f"k={k} exceeds number of points {n}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    x = np.stack([np.asarray(p.embedding, dtype=np.float64) for p in pairs])
+    ids = [p.id for p in pairs]
+    if len(set(ids)) < n:
+        counts = Counter(ids)
+        dup = next(i for i in ids if counts[i] > 1)
+        raise ValueError(f"pair id {dup!r} appears more than once")
+    x = np.array([p.embedding for p in pairs], dtype=np.float64)
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
-        raise ValueError(f"point {pairs[int(np.argmin(finite))].id!r} has a "
+        raise ValueError(f"point {ids[int(np.argmin(finite))]!r} has a "
                          f"non-finite embedding")
+    xx = (x * x).sum(axis=1)
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(x, k, rng)
+    centroids = _kmeans_pp_init(x, xx, k, rng)
     labels = np.full(n, -1)
     history: list[float] = []
-    xx = (x * x).sum(axis=1)
     rows = np.arange(n)
     for _ in range(max_iters):
         cc = (centroids * centroids).sum(axis=1)
@@ -107,27 +139,29 @@ def kmeans(pairs: list[EmbeddedPair], k: int, max_iters: int = 50,
             slack = _TIE_EPS * (xx + cc.max())
             stay = d2[rows, labels] <= d2[rows, new_labels] + slack
             new_labels[stay] = labels[stay]
-        for empty in range(k):
-            if (new_labels == empty).any():
-                continue
-            sizes = np.bincount(new_labels, minlength=k)
+        sizes = np.bincount(new_labels, minlength=k)
+        # the donor keeps at least one point (k <= n), so no repair empties one
+        for empty in np.flatnonzero(sizes == 0).tolist():
             donor = int(sizes.argmax())
             members = np.flatnonzero(new_labels == donor)
             far = members[d2[members, donor].argmax()]
             new_labels[far] = empty
+            sizes[donor] -= 1
+            sizes[empty] = 1
             centroids[empty] = x[far]
             d2[:, empty] = ((x - centroids[empty]) ** 2).sum(axis=1)
         if (new_labels == labels).all():
             break
         labels = new_labels
-        for j in range(k):
-            centroids[j] = x[labels == j].mean(axis=0)
-        inertia = float(((x - centroids[labels]) ** 2).sum())
-        history.append(inertia)
-    inertia = float(((x - centroids[labels]) ** 2).sum())
-    assignment = {p.id: int(c) for p, c in zip(pairs, labels)}
-    return Clustering(centroids=centroids, assignment=assignment,
-                      inertia=inertia, inertia_history=history)
+        onehot = np.zeros((k, n))
+        onehot[labels, rows] = 1.0
+        centroids = (onehot @ x) / sizes[:, None]
+        history.append(float(((x - centroids[labels]) ** 2).sum()))
+    # The first pass always updates. A pass that stops can only have repaired
+    # a cluster whose one member it already was, which leaves its centroid as
+    # it was, so the last update's centroids and inertia stand.
+    return Clustering(centroids=centroids, assignment=dict(zip(ids, labels.tolist())),
+                      inertia=history[-1], inertia_history=history)
 
 
 def proportional_quotas(sizes: list[int], m_total: int) -> list[int]:
@@ -164,7 +198,8 @@ def distance_uniform_sample(clustering: Clustering, pairs: list[EmbeddedPair],
     """
     if mode not in ("spread", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    by_id = {p.id: p for p in pairs}
+    row = {p.id: i for i, p in enumerate(pairs)}
+    x = np.array([p.embedding for p in pairs], dtype=np.float64)
     k = clustering.centroids.shape[0]
     members: list[list[str]] = [[] for _ in range(k)]
     for pid, c in clustering.assignment.items():
@@ -175,8 +210,7 @@ def distance_uniform_sample(clustering: Clustering, pairs: list[EmbeddedPair],
     for c in range(k):
         if quotas[c] == 0 or not members[c]:
             continue
-        diff = np.stack([by_id[pid].embedding for pid in members[c]]) \
-            - clustering.centroids[c]
+        diff = x[[row[pid] for pid in members[c]]] - clustering.centroids[c]
         # row-wise BLAS dot: the same sum np.linalg.norm takes of one vector
         dist = np.sqrt(diff[:, None, :] @ diff[:, :, None]).ravel().tolist()
         ordered = [pid for _, pid in sorted(zip(dist, members[c]))]

@@ -37,6 +37,29 @@ def test_filter_needs_two():
         filter_half(make_pairs([[0.0]]))
 
 
+@given(st.lists(st.tuples(st.text(max_size=4),
+                          st.sampled_from([0.0, -0.0, 0.5, -1.5, 1e300])
+                          | st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=2, max_size=40))
+@example([("a\x00", 0.5), ("a", 0.5), ("é", 0.5), ("z", 0.5)])
+def test_filter_equals_sorted_by_similarity_then_id(rows):
+    pairs = [EmbeddedPair(id=i, embedding=np.zeros(1), similarity=s)
+             for i, s in rows]
+    want = sorted(pairs, key=lambda p: (-p.similarity, p.id))[:(len(pairs) + 1) // 2]
+    got = filter_half(pairs)
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
+
+
+def test_filter_rejects_non_finite_similarity():
+    # a NaN key has no defined place under sorted()
+    for bad in (np.nan, np.inf, -np.inf):
+        pairs = make_pairs([[0.0]] * 4, sims=[0.1, bad, 0.3, 0.2])
+        with pytest.raises(ValueError,
+                           match="pair 'p001' has a non-finite similarity"):
+            filter_half(pairs)
+
+
 # -- kmeans -----------------------------------------------------------------
 
 def blobs(rng, centers, per, spread):
@@ -88,6 +111,36 @@ def test_kmeans_rejects_non_finite_points():
                 kmeans(make_pairs(embs), k=k)
 
 
+def test_kmeans_rejects_duplicate_ids():
+    # the assignment dict kept one entry per id, and selection then failed on
+    # m_total
+    pairs = make_pairs(np.arange(40, dtype=float).reshape(20, 2))
+    for i in (7, 9, 12, 15, 18):
+        pairs[i].id = pairs[i - 4].id
+    with pytest.raises(ValueError, match="pair id 'p003' appears more than once"):
+        kmeans(pairs, k=3)
+
+
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                min_size=1, max_size=6, unique=True),
+       st.data())
+def test_seeding_picks_each_distinct_point_once(distinct, data):
+    # far from the origin, xx - 2 x.c + c.c of a point on a centroid rounds
+    # to a nonzero that the tie clamp must read as 0
+    offset = data.draw(st.sampled_from([0.0, 1e3, -1e4]))
+    points = np.asarray(distinct, dtype=float) / 8 + offset
+    copies = data.draw(st.lists(st.integers(1, 4), min_size=len(points),
+                                max_size=len(points)))
+    x = np.repeat(points, copies, axis=0)
+    x = x[np.random.default_rng(len(x)).permutation(len(x))]
+    k = len(points) + data.draw(st.integers(0, min(2, len(x) - len(points))))
+    seed = data.draw(st.integers(0, 1000))
+    centroids = sel._kmeans_pp_init(x, (x * x).sum(axis=1), k,
+                                    np.random.default_rng(seed))
+    first = {tuple(c) for c in centroids[:len(points)]}
+    assert first == {tuple(p) for p in points}
+
+
 def test_inertia_monotone_over_100_seeds():
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -120,10 +173,11 @@ def test_kmeans_fixed_point_properties(cloud):
     scale = 1e-9 * ((x * x).sum(axis=1).max() + 1.0)
     h = clustering.inertia_history
     assert all(b <= a + scale for a, b in zip(h, h[1:]))
-    if len(h) == max_iters:  # stopped by the cap, not at a fixed point
-        return
     labels = np.array([clustering.assignment[p.id] for p in pairs])
     c = clustering.centroids
+    assert clustering.inertia == float(((x - c[labels]) ** 2).sum())
+    if len(h) == max_iters:  # stopped by the cap, not at a fixed point
+        return
     d2 = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
     own = d2[np.arange(len(x)), labels]
     assert (own <= d2.min(axis=1) + scale).all()
@@ -207,6 +261,59 @@ def test_selection_exact_size_and_coverage():
                               if clustering.assignment[i] == c)
         assert chosen_ranks[0] == 0
         assert chosen_ranks[-1] >= len(ordered) - (len(ordered) + quota - 1) // quota
+
+
+def stack_reference(clustering, pairs, m_total, rng, mode):
+    """distance_uniform_sample as one np.stack of embeddings per cluster."""
+    by_id = {p.id: p for p in pairs}
+    k = clustering.centroids.shape[0]
+    members = [[] for _ in range(k)]
+    for pid, c in clustering.assignment.items():
+        members[c].append(pid)
+    quotas = sel.proportional_quotas([len(m) for m in members], m_total)
+    selected = []
+    for c in range(k):
+        if quotas[c] == 0 or not members[c]:
+            continue
+        diff = np.stack([by_id[pid].embedding for pid in members[c]]) \
+            - clustering.centroids[c]
+        dist = np.sqrt(diff[:, None, :] @ diff[:, :, None]).ravel().tolist()
+        ordered = [pid for _, pid in sorted(zip(dist, members[c]))]
+        if mode == "spread":
+            selected.extend(ordered[r] for r in sel.spread_ranks(len(ordered),
+                                                                 quotas[c]))
+        else:
+            picks = rng.choice(len(ordered), size=quotas[c], replace=False)
+            selected.extend(ordered[i] for i in sorted(picks))
+    return selected
+
+
+@given(st.data())
+def test_selection_equals_per_cluster_stack(data):
+    # coarse coordinates tie distances, so the id breaks them; float32
+    # embeddings and pairs outside the clustering are gathered by row as well
+    n = data.draw(st.integers(2, 30))
+    d = data.draw(st.integers(1, 4))
+    coord = st.integers(-16, 16).map(lambda v: v / 4) | st.floats(-4, 4)
+    x = np.asarray(data.draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                      min_size=n + 3, max_size=n + 3)))
+    if data.draw(st.booleans()):
+        x = x.astype(np.float32)
+    pairs = [EmbeddedPair(id=f"p{i:03d}", embedding=e, similarity=0.5)
+             for i, e in enumerate(x)]
+    data.draw(st.randoms()).shuffle(pairs)
+    k = data.draw(st.integers(1, 4))
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    clustering = sel.Clustering(
+        centroids=np.asarray(data.draw(st.lists(
+            st.lists(coord, min_size=d, max_size=d), min_size=k, max_size=k))),
+        assignment={p.id: c for p, c in zip(pairs, labels)}, inertia=0.0)
+    m = data.draw(st.integers(1, n))
+    for mode in ("spread", "random"):
+        got = sel.distance_uniform_sample(clustering, pairs, m,
+                                          np.random.default_rng(m), mode)
+        assert got == stack_reference(clustering, pairs, m,
+                                      np.random.default_rng(m), mode)
 
 
 def test_selection_deterministic():

@@ -877,6 +877,44 @@ def test_resume_matches_uninterrupted(tiny_setup):
     assert a == b
 
 
+def test_resume_through_checkpoint_every_matches_uninterrupted(tiny_setup,
+                                                              monkeypatch):
+    # With warmup_steps=1 the rate of step 2 on depends on max_steps, so the
+    # interrupted run and the one it is compared with share one config.
+    vocab, specs, model, tmp = tiny_setup
+    config = cfg(max_steps=6, warmup_steps=1, checkpoint_every=3)
+    tr.train(cm.build(model.config, seed=0), tr.make_sources(specs, vocab, config),
+             config, str(tmp / "full"), vocab)
+
+    class Killed(Exception):
+        pass
+
+    step = tr.train_step
+
+    def dies_after_four_steps(model, cycle, state, *args):
+        if state.step == 4:
+            raise Killed
+        return step(model, cycle, state, *args)
+
+    monkeypatch.setattr(tr, "train_step", dies_after_four_steps)
+    with pytest.raises(Killed):
+        tr.train(cm.build(model.config, seed=0),
+                 tr.make_sources(specs, vocab, config), config,
+                 str(tmp / "resumed"), vocab)
+    monkeypatch.undo()
+    rows = (tmp / "resumed" / "metrics.ndjson").read_text().splitlines()
+    assert json.loads(rows[-1])["step"] == 3  # a row past step3.ckpt
+    m2, state2, _, vocab2, loader_state = tr.load_checkpoint(
+        str(tmp / "resumed" / "step3.ckpt"))
+    tr.train(m2, tr.make_sources(specs, vocab2, config), config,
+             str(tmp / "resumed"), vocab2, state=state2, loader_state=loader_state)
+
+    assert ((tmp / "resumed" / "metrics.ndjson").read_bytes()
+            == (tmp / "full" / "metrics.ndjson").read_bytes())
+    assert ((tmp / "resumed" / "final.ckpt").read_bytes()
+            == (tmp / "full" / "final.ckpt").read_bytes())
+
+
 def test_resume_from_an_earlier_checkpoint_keeps_one_row_per_step(tiny_setup):
     vocab, specs, model, tmp = tiny_setup
     full_cfg = cfg(max_steps=4, checkpoint_every=2)

@@ -22,6 +22,18 @@ only the gradients its inputs require, as ``matmul`` does. The layer-norm,
 attention and GELU maths lives once, in private numpy forward and backward
 helpers that the ops and the kernels share.
 
+The helpers and the kernels work in place on temporaries they allocated
+themselves (``out=``, ``+=``, ``*=``, ``np.copyto`` for a mask), so a pass
+does not churn one fresh array per elementwise step, in the IO-aware spirit
+of FlashAttention. The rule that keeps this safe: never write to an input,
+a weight, a cached key or value, a gradient handed to a ``vjp`` (an ``add``
+hands the same array to both its inputs), or an array a ``vjp`` keeps; only
+to an array made in the same call and not yet handed out. Each rewrite
+keeps the old float ops in the old order: ``a + b`` and ``b + a`` are the
+same bits, as are ``a * b`` and ``b * a``, and a product by 0.5 is exact
+short of the subnormal range, so ``(x · s) · 0.5`` equals ``(0.5 · x) · s``.
+So the values are bit-identical to the out-of-place formulas.
+
 Tensors are immutable after creation except for their ``grad`` buffer. The
 active tape is the top of one stack shared by the whole module, so tapes nest
 but are not safe to use from several threads at once.
@@ -165,18 +177,26 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _ln_forward(x: np.ndarray, axis: int, gain: np.ndarray | None,
                 bias: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y · gain + bias, y, std) for y = x normalized along ``axis``."""
+    """(y · gain + bias, y, std) for y = x normalized along ``axis``. The
+    gain and bias broadcast to the shape of ``x``."""
     n = x.shape[axis]
     # sums over n, as np.mean and np.var form them, without their overhead
-    mu = x.sum(axis=axis, keepdims=True) / n
-    centred = x - mu
-    std = np.sqrt((centred * centred).sum(axis=axis, keepdims=True) / n + LN_EPS)
-    y = centred / std
-    out = y
+    mu = x.sum(axis=axis, keepdims=True)
+    mu /= n
+    y = x - mu  # centred, normalized below
+    std = (y * y).sum(axis=axis, keepdims=True)
+    std /= n
+    std += LN_EPS
+    np.sqrt(std, out=std)
+    y /= std
     if gain is not None:
-        out = out * gain
-    if bias is not None:
-        out = out + bias
+        out = y * gain
+        if bias is not None:
+            out += bias
+    elif bias is not None:
+        out = y + bias
+    else:
+        out = y
     return out, y, std
 
 
@@ -189,9 +209,14 @@ def _ln_backward(g: np.ndarray, y: np.ndarray, std: np.ndarray, axis: int,
     if need_x:
         n = y.shape[axis]
         gy = g if gain is None else g * gain
-        gm = gy.sum(axis=axis, keepdims=True) / n
-        gyy = (gy * y).sum(axis=axis, keepdims=True) / n
-        gx = (gy - gm - y * gyy) / std
+        gm = gy.sum(axis=axis, keepdims=True)
+        gm /= n
+        gyy = (gy * y).sum(axis=axis, keepdims=True)
+        gyy /= n
+        # (gy - gm - y · gyy) / std, in gy where it is not the caller's g
+        gx = g - gm if gain is None else np.subtract(gy, gm, out=gy)
+        gx -= y * gyy
+        gx /= std
     if need_gain:
         ggain = _unbroadcast(g * y, gain.shape)
     if need_bias:
@@ -202,12 +227,14 @@ def _ln_backward(g: np.ndarray, y: np.ndarray, std: np.ndarray, axis: int,
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: float,
                        hidden: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """(softmax(q kᵀ · c) v, the softmax) with ``hidden`` entries scored
-    ``NEG_INF``."""
-    scores = (q @ k.swapaxes(-1, -2)) * c
+    ``NEG_INF``; ``hidden`` broadcasts to the scores."""
+    p = q @ k.swapaxes(-1, -2)
+    p *= c
     if hidden is not None:
-        scores = np.where(hidden, NEG_INF, scores)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+        np.copyto(p, NEG_INF, where=hidden)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     return p @ v, p
 
 
@@ -220,11 +247,12 @@ def _attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarr
     if need_v:
         gv = p.swapaxes(-1, -2) @ g
     if need_q or need_k:
-        gp = g @ v.swapaxes(-1, -2)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs = g @ v.swapaxes(-1, -2)  # the softmax's gradient, then the scores'
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
         if hidden is not None:
-            gs = np.where(hidden, 0.0, gs)
-        gs = gs * c
+            np.copyto(gs, 0.0, where=hidden)
+        gs *= c
         if need_q:
             gq = gs @ k
         if need_k:
@@ -234,14 +262,35 @@ def _attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarr
 
 def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(gelu(x), the tanh it took) for the tanh approximation."""
-    u = _GELU_C * (x + 0.044715 * (x * x * x))  # pow is ~70x slower
-    t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), t
+    t = x * x  # x³ by products: pow is ~70x slower
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0  # 0.5 · x · (1 + t)
+    y *= x
+    y *= 0.5
+    return y, t
 
 
 def _gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    du = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    """g · (0.5 (1 + t) + 0.5 x (1 - t²) du) with du the derivative of the
+    tanh's argument."""
+    du = x * x
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= _GELU_C
+    b = t * t
+    np.subtract(1.0, b, out=b)
+    b *= x
+    b *= 0.5
+    b *= du
+    np.add(t, 1.0, out=du)
+    du *= 0.5
+    du += b
+    du *= g
+    return du
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +647,15 @@ def decoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, wq: Tensor, wk: Tenso
             v = np.concatenate([past[1], v], axis=-2)
         att, p = _attention_forward(q, k, v, c, hidden)
         merged = _join_heads(att)
-        h = x.data + merged @ wo
+        h = merged @ wo
+        h += x.data
         z2, y2, std2 = _ln_forward(h, -1, ln2_g, ln2_b)
-        pre = z2 @ w1 + b1
+        pre = z2 @ w1
+        pre += b1
         act, tanh_pre = _gelu_forward(pre)
-        out = h + (act @ w2 + b2)
+        out = act @ w2
+        out += b2
+        out += h
     except ValueError:
         raise ShapeError(f"decoder_block: input {x.shape}, weights "
                          f"{[w.shape for w in ws]}, past "
@@ -634,7 +687,8 @@ def decoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, wq: Tensor, wk: Tenso
                     gpre @ w1.T, y2, std2, -1, ln2_g, ln2_b, need_h, want_ln2_g,
                     want_ln2_b)
                 if need_h:
-                    gh = g + gx2
+                    gh = gx2
+                    gh += g
         if want_wo:
             grads[6] = _weight_grad(merged, gh)
         if need_q or need_k or need_v:
@@ -649,11 +703,14 @@ def decoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, wq: Tensor, wk: Tenso
                     grads[i] = _weight_grad(z1, ga)
             if need_z1:
                 # summed as the unfused chain's backward pass meets them
-                gz1 = gv @ wv.T + gk @ wk.T + gq @ wq.T
+                gz1 = gv @ wv.T
+                gz1 += gk @ wk.T
+                gz1 += gq @ wq.T
                 gx1, grads[1], grads[2] = _ln_backward(
                     gz1, y1, std1, -1, ln1_g, ln1_b, want_x, want_ln1_g, want_ln1_b)
                 if want_x:
-                    grads[0] = gh + gx1
+                    gx1 += gh
+                    grads[0] = gx1
         return tuple(grads)
 
     return _emit("decoder_block", (x,) + ws, out, vjp), k, v
@@ -687,11 +744,12 @@ def gated_cross_attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, down: Tensor,
         k, v = (vis @ wk, vis @ wv) if kv is None else kv
         c = 1.0 / math.sqrt(q.shape[-1])
         att, p = _attention_forward(q, k, v, c, hidden)
-        z = att @ up
         row = (~hidden).any(axis=-1, keepdims=True).astype(np.float64)
-        zm = z * row
+        zm = att @ up
+        zm *= row
         tg = np.tanh(gate)
-        out = x.data + zm * tg
+        out = zm * tg
+        out += x.data
     except ValueError:
         raise ShapeError(f"gated_cross_attention: input {x.shape}, weights "
                          f"{[w.shape for w in ws]} or mask {hidden.shape} "
@@ -715,7 +773,8 @@ def gated_cross_attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, down: Tensor,
             grads[0] = g
         if not (want_up or need_q or need_k or need_v):
             return tuple(grads)
-        gz = (g * tg) * row
+        gz = g * tg
+        gz *= row
         if want_up:
             grads[7] = _weight_grad(att, gz)
         gq, gk, gv = _attention_backward(gz @ up.T, q, k, v, p, c, hidden,
@@ -734,13 +793,15 @@ def gated_cross_attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, down: Tensor,
                 gx, grads[1], grads[2] = _ln_backward(
                     gxb @ down.T, y, std, -1, ln_g, ln_b, want_x, want_ln_g, want_ln_b)
                 if want_x:
-                    grads[0] = g + gx
+                    gx += g
+                    grads[0] = gx
         if want_wk:
             grads[5] = _weight_grad(vis, gk)
         if want_wv:
             grads[6] = _weight_grad(vis, gv)
         if want_vis:
-            grads[9] = gv @ wv.T + gk @ wk.T
+            grads[9] = gv @ wv.T
+            grads[9] += gk @ wk.T
         return tuple(grads)
 
     return _emit("gated_cross_attention", (x,) + ws, out, vjp), (k, v)

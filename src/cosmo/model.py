@@ -198,9 +198,11 @@ _BLOCK_WEIGHTS = ("ln1_g", "ln1_b", "wq", "wk", "wv", "wo", "ln2_g", "ln2_b",
 _FUSION_WEIGHTS = ("ln_g", "ln_b", "down", "wq", "wk", "wv", "up", "gate")
 
 
-def _causal(s: int, start: int) -> np.ndarray:
+def _causal(s: int, start: int) -> np.ndarray | None:
     """[s, start + s]: the keys each of ``s`` positions at ``start..`` may not
-    attend to, the later ones."""
+    attend to, the later ones; None for one position, which sees every key."""
+    if s == 1:
+        return None
     return np.triu(np.ones((s, start + s), dtype=bool), k=1 + start)
 
 
@@ -317,45 +319,55 @@ def _fusion(model: Model, pos: int, x: Tensor, visual: Tensor,
     return out
 
 
-def _media_visibility(media_positions: list[tuple[int, int]], n_media: int,
-                      n_latents: int, start: int, end: int) -> np.ndarray:
-    """[end - start, n_media * n_latents]: the visual tokens each text
-    position at ``start..end`` may attend to."""
-    visible = np.zeros((end - start, n_media * n_latents), dtype=bool)
-    for tok_pos, m_idx in media_positions:
-        if not 0 <= m_idx < n_media:
-            raise ValueError(f"media index {m_idx} out of range ({n_media} items)")
-        if not 0 <= tok_pos < end:
-            raise ValueError(f"media token position {tok_pos} outside sequence {end}")
-        lo = m_idx * n_latents
-        visible[max(tok_pos - start, 0):, lo:lo + n_latents] = True
-    return visible
+def _media_hidden(media_positions: list[list[tuple[int, int]]], n_media: int,
+                  n_latents: int, start: int, end: int) -> np.ndarray:
+    """[B, end - start, n_media * n_latents]: the visual tokens each text
+    position at ``start..end`` of each of B rows may not attend to, those of
+    media its row introduces later or never. The rows' (position, item)
+    pairs give the position each item first appears at, and one comparison
+    with the text positions forms the mask."""
+    first = []
+    for row in media_positions:
+        at = [end] * n_media
+        for tok_pos, m_idx in row:
+            if not 0 <= m_idx < n_media:
+                raise ValueError(f"media index {m_idx} out of range ({n_media} items)")
+            if not 0 <= tok_pos < end:
+                raise ValueError(f"media token position {tok_pos} outside sequence {end}")
+            at[m_idx] = min(at[m_idx], tok_pos)
+        first.append(at)
+    first = np.array(first, dtype=np.int64)
+    return np.arange(start, end)[:, None] < np.repeat(first, n_latents, axis=1)[:, None, :]
 
 
 def fuse_and_decode(model: Model, text_hidden: Tensor, visual: Tensor | None,
                     media_positions, cache: dict | None = None,
                     start: int = 0) -> Tensor:
-    """Second-half decoder with fusion layers: logits [B, seq, vocab] of the
-    hidden states ``text_hidden`` [B, seq, d] at positions ``start..``, as in
-    ``encode_text_unimodal``.
+    """Second-half decoder with fusion layers over the hidden states
+    ``text_hidden`` [B, seq, d] at positions ``start..``, as in
+    ``encode_text_unimodal``: logits [B, seq, vocab], or with a ``cache``
+    [B, 1, vocab], those of the last position alone, which is all a greedy
+    decode reads.
 
-    ``visual`` is [B, n_media * n_latents, d] or None. ``media_positions``
-    holds one list per row mapping token positions to media indices; a text
-    token may only attend to media introduced at or before its own position.
+    ``visual`` is [B, n_media * n_latents, d] or None for no media.
+    ``media_positions`` holds one list per row mapping token positions to
+    media indices; a text token may only attend to media introduced at or
+    before its own position. An index the row has no media item for raises
+    ``ValueError``.
     """
     c = model.config
-    if visual is not None:
-        n_media = visual.shape[1] // c.n_latents
-        end = start + text_hidden.shape[1]
-        hidden = ~np.stack([_media_visibility(r, n_media, c.n_latents, start, end)
-                            for r in media_positions])
+    s = text_hidden.shape[1]
+    n_media = 0 if visual is None else visual.shape[1] // c.n_latents
+    hidden = _media_hidden(media_positions, n_media, c.n_latents, start, start + s)
     h = text_hidden
-    causal = _causal(h.shape[1], start)
+    causal = _causal(s, start)
     fusion_at = set(c.fusion_positions())
     for i in range(c.split_index, c.n_layers_total):
         if i in fusion_at and visual is not None:
             h = _fusion(model, i, h, visual, hidden, cache)
         h = _block(model, i, h, causal, cache)
+    if cache is not None:
+        h = h[:, -1:, :]
     h = ad.layer_norm(h, gain=model.param("frozen/final_ln_g"),
                       bias=model.param("frozen/final_ln_b"))
     return ad.matmul(h, model.param("frozen/unembed"))
@@ -445,8 +457,14 @@ def logit_scale(model: Model) -> Tensor:
 
 def lm_loss(logits: Tensor, targets, loss_mask) -> Tensor:
     """Mean next-token NLL over unmasked positions: row ``i`` of ``logits``
-    [seq, vocab] predicts ``targets[i]``; rows past the targets are unread."""
+    [seq, vocab] predicts ``targets[i]``; rows past the targets are unread.
+    A target outside [0, vocab) raises ``ValueError``."""
     targets = np.asarray(targets, dtype=np.int64)
+    vocab = logits.shape[-1]
+    if targets.size and (targets.min() < 0 or targets.max() >= vocab):
+        bad = targets[(targets < 0) | (targets >= vocab)][0]
+        raise ValueError(f"lm_loss: target id {bad} outside the vocabulary "
+                         f"[0, {vocab})")
     mask = np.asarray(loss_mask, dtype=np.float64)
     count = mask.sum()
     if count == 0:
@@ -496,11 +514,16 @@ def greedy_decode_batch(model: Model, prompts: list[tuple], stop_id: int,
     the first pass (the batched-decode layout of Pope et al. 2022, arXiv
     2211.05102). A row that has produced ``stop_id`` keeps riding along, its
     tokens ignored, until every row has stopped or ``max_new`` passes have
-    run. Each row's logits equal those of ``forward_logits`` over its whole
-    sequence up to rounding.
+    run. A pass forms the final layer norm and the logits of its last
+    position alone (``fuse_and_decode`` under a cache), and those logits
+    equal the last row of ``forward_logits`` over the whole sequence up to
+    rounding. An empty prompt, or a media position naming an item its
+    prompt lacks, raises ``ValueError``.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (ids, feats, _) in enumerate(prompts):
+        if not len(ids):
+            raise ValueError(f"prompt {i} is empty")
         groups.setdefault((len(ids), len(feats)), []).append(i)
     out: list[list[int]] = [[] for _ in prompts]
     for rows in groups.values():

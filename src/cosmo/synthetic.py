@@ -273,8 +273,10 @@ def retrieval_at_1(model: cm.Model, vocab: Vocab,
     """Fraction of query media whose nearest caption embedding is the target.
 
     All candidate captions are embedded in one padded unimodal pass and all
-    query media in one ``embed_media`` call.
+    query media in one ``embed_media`` call. No queries raise ``ValueError``.
     """
+    if not queries:
+        raise ValueError("retrieval_at_1: no queries")
     cand = caption_text_embeddings(model, vocab, candidates)
     media = media_embeddings(model, [feats for feats, _ in queries])
     hits = 0
@@ -288,8 +290,11 @@ def eval_fewshot(model: cm.Model, vocab: Vocab, episodes: list[FewShotEpisode],
     """Caption exact match over episodes plus retrieval@1 of their queries.
 
     Every episode's caption is decoded by one ``greedy_decode_batch`` call,
-    so episodes with prompts of one length decode in lockstep.
+    so episodes with prompts of one length decode in lockstep. No episodes
+    raise ``ValueError``.
     """
+    if not episodes:
+        raise ValueError("eval_fewshot: no episodes")
     prompts = [episode_prompt(ep, vocab) for ep in episodes]
     decoded = cm.greedy_decode_batch(model, prompts, stop_id=EOC,
                                      max_new=CAPTION_MAX_NEW)

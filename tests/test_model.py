@@ -501,6 +501,48 @@ def test_cached_decode_encodes_each_media_once(monkeypatch):
     assert items == {"vision_encode": 3, "resample": 3}
 
 
+def test_cached_pass_forms_the_last_position_alone():
+    """Under a cache, the prompt pass and each one-token pass return [B, 1,
+    vocab], the last row of the full forward's logits."""
+    m, ids, feats, pos = decode_inputs(0, n_media=2)
+    rows = [ids, ids[::-1]]
+    visual = ad.reshape(cm.encode_media(m, feats + feats), (2, -1, m.config.d_model))
+    cache: dict = {}
+    th = cm.encode_text_unimodal(m, rows, cache, 0)
+    logits = cm.fuse_and_decode(m, th, visual, [pos, pos], cache, 0)
+    assert logits.shape == (2, 1, m.config.vocab_size)
+    nxt = [[5], [6]]
+    th = cm.encode_text_unimodal(m, nxt, cache, len(ids))
+    step = cm.fuse_and_decode(m, th, visual, [pos, pos], cache, len(ids))
+    assert step.shape == (2, 1, m.config.vocab_size)
+    for r, row in enumerate(rows):
+        for got, seq in ((logits, row), (step, row + nxt[r])):
+            want = cm.forward_logits(m, seq, feats, pos).data[-1]
+            assert np.abs(got.data[r, 0] - want).max() <= 1e-12 * np.abs(want).max()
+    # without a cache every position's logits come back
+    full = cm.fuse_and_decode(m, cm.encode_text_unimodal(m, rows), visual, [pos, pos])
+    assert full.shape == (2, len(ids), m.config.vocab_size)
+
+
+def test_decode_rejects_a_media_position_without_its_media_item():
+    m, ids, feats, pos = decode_inputs(0, n_media=2)
+    with pytest.raises(ValueError, match=r"media index 0 out of range \(0 items\)"):
+        cm.greedy_decode(m, [0, 2], [], [(1, 0)], stop_id=-1, max_new=2)
+    with pytest.raises(ValueError, match=r"media index 2 out of range \(2 items\)"):
+        cm.greedy_decode(m, ids, feats, pos + [(9, 2)], stop_id=-1, max_new=2)
+    with pytest.raises(ValueError, match="media index 0"):
+        cm.forward_logits(m, ids, [], [(1, 0)])
+
+
+def test_decode_rejects_an_empty_prompt_by_its_index():
+    m, ids, feats, pos = decode_inputs(0, n_media=2)
+    with pytest.raises(ValueError, match="prompt 1 is empty"):
+        cm.greedy_decode_batch(m, [(ids, feats, pos), ([], [], [])], stop_id=-1,
+                               max_new=2)
+    with pytest.raises(ValueError, match="prompt 0 is empty"):
+        cm.greedy_decode(m, [], feats, [], stop_id=-1, max_new=2)
+
+
 # -- batched greedy decoding ------------------------------------------------
 
 def ragged_prompts(m, seed):
@@ -668,6 +710,13 @@ def test_lm_loss_two_token_hand_case():
 def test_lm_loss_all_masked():
     with pytest.raises(ValueError, match="masked"):
         cm.lm_loss(Tensor(np.zeros((2, 4))), [0, 1], [0, 0])
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 7])
+def test_lm_loss_rejects_targets_outside_the_vocabulary(bad):
+    # -1 used to score the last vocabulary column and 4 to raise IndexError
+    with pytest.raises(ValueError, match=rf"target id {bad} outside the vocabulary \[0, 4\)"):
+        cm.lm_loss(Tensor(np.zeros((3, 4))), [0, bad, 1], [1, 1, 1])
 
 
 def test_lm_loss_respects_mask():

@@ -104,6 +104,15 @@ def test_eval_fewshot_match_agrees_with_decode(tmp_path):
     assert res["caption_exact_match"] == np.mean(res["per_episode_match"])
 
 
+def test_eval_and_retrieval_reject_empty_inputs(tmp_path):
+    meta, vocab = corpus(tmp_path)
+    model = tiny_model(vocab)
+    with pytest.raises(ValueError, match="eval_fewshot: no episodes"):
+        sy.eval_fewshot(model, vocab, [], meta)
+    with pytest.raises(ValueError, match="retrieval_at_1: no queries"):
+        sy.retrieval_at_1(model, vocab, [], [meta.caption(0, 0)])
+
+
 def test_default_task_runs_on_the_default_model(tmp_path):
     # the spec's d_vision was 32 against the model's 16: encode_media failed
     meta = sy.make_synthetic_corpus(sy.SyntheticTaskSpec(), str(tmp_path))

@@ -20,7 +20,18 @@ plain arrays, which a decode cache holds. Each runs the float ops of the
 unfused chain in the same order, so values do not change, and each computes
 only the gradients its inputs require, as ``matmul`` does. The layer-norm,
 attention and GELU maths lives once, in private numpy forward and backward
-helpers that the ops and the kernels share.
+helpers that the ops and the kernels share. The losses' log-softmax and the
+gather of the target entries are one ``log_softmax_gather`` node too, which
+runs the float ops of that chain forward and backward.
+
+The tape itself is kept lean, since each node pays its bookkeeping in
+Python. ``_emit`` wraps an op's array in its output tensor as it is, and
+``backward`` reshapes a gradient only when its shape differs. The helpers
+reduce with ``np.add.reduce`` and ``np.maximum.reduce``, the ufuncs behind
+``.sum`` and ``.max``, without numpy's Python wrapper. A leaf's gradient is
+summed in place once ``backward`` has made it a private array; an
+internal one is summed out of place, because an ``add`` hands one array to
+both its inputs.
 
 The helpers and the kernels work in place on temporaries they allocated
 themselves (``out=``, ``+=``, ``*=``, ``np.copyto`` for a mask), so a pass
@@ -121,13 +132,6 @@ class Tape:
         self.nodes: list[_Node] = []
         self._output_ids: set[int] = set()
 
-    def record(self, op, inputs, output, vjp) -> None:
-        self.nodes.append(_Node(op, inputs, output, vjp))
-        self._output_ids.add(id(output))
-
-    def is_internal(self, t: Tensor) -> bool:
-        return id(t) in self._output_ids
-
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
         return self
@@ -143,13 +147,22 @@ def active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _emit(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
+def _emit(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
           vjp: Callable[[np.ndarray], tuple]) -> Tensor:
-    needs = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs, dtype=out_data.dtype)
-    tape = active_tape()
-    if tape is not None and needs:
-        tape.record(op, tuple(inputs), out, vjp)
+    needs = False
+    for t in inputs:  # a plain loop: any() over a generator costs more per op
+        if t.requires_grad:
+            needs = True
+            break
+    if type(out_data) is np.ndarray:  # np.asarray would hand it back unchanged
+        out = Tensor.__new__(Tensor)
+        out.data, out.requires_grad, out.grad, out.name = out_data, needs, None, None
+    else:  # a 0-d op returns a numpy scalar
+        out = Tensor(out_data, requires_grad=needs, dtype=out_data.dtype)
+    if needs and _TAPE_STACK:
+        tape = _TAPE_STACK[-1]
+        tape.nodes.append(_Node(op, inputs, out, vjp))
+        tape._output_ids.add(id(out))
     return out
 
 
@@ -159,10 +172,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, axis=tuple(range(extra)))
     axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = np.add.reduce(g, axis=axes, keepdims=True)
     return g.reshape(shape)
 
 
@@ -181,10 +194,10 @@ def _ln_forward(x: np.ndarray, axis: int, gain: np.ndarray | None,
     gain and bias broadcast to the shape of ``x``."""
     n = x.shape[axis]
     # sums over n, as np.mean and np.var form them, without their overhead
-    mu = x.sum(axis=axis, keepdims=True)
+    mu = np.add.reduce(x, axis=axis, keepdims=True)
     mu /= n
     y = x - mu  # centred, normalized below
-    std = (y * y).sum(axis=axis, keepdims=True)
+    std = np.add.reduce(y * y, axis=axis, keepdims=True)
     std /= n
     std += LN_EPS
     np.sqrt(std, out=std)
@@ -209,9 +222,9 @@ def _ln_backward(g: np.ndarray, y: np.ndarray, std: np.ndarray, axis: int,
     if need_x:
         n = y.shape[axis]
         gy = g if gain is None else g * gain
-        gm = gy.sum(axis=axis, keepdims=True)
+        gm = np.add.reduce(gy, axis=axis, keepdims=True)
         gm /= n
-        gyy = (gy * y).sum(axis=axis, keepdims=True)
+        gyy = np.add.reduce(gy * y, axis=axis, keepdims=True)
         gyy /= n
         # (gy - gm - y · gyy) / std, in gy where it is not the caller's g
         gx = g - gm if gain is None else np.subtract(gy, gm, out=gy)
@@ -232,9 +245,9 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: float,
     p *= c
     if hidden is not None:
         np.copyto(p, NEG_INF, where=hidden)
-    p -= p.max(axis=-1, keepdims=True)
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p @ v, p
 
 
@@ -248,7 +261,7 @@ def _attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarr
         gv = p.swapaxes(-1, -2) @ g
     if need_q or need_k:
         gs = g @ v.swapaxes(-1, -2)  # the softmax's gradient, then the scores'
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs -= np.add.reduce(gs * p, axis=-1, keepdims=True)
         gs *= p
         if hidden is not None:
             np.copyto(gs, 0.0, where=hidden)
@@ -377,12 +390,13 @@ def slice_(a: Tensor, key) -> Tensor:
     """``a[key]`` for basic slices and integer-array gathers."""
     a = _as_tensor(a)
     out = a.data[key]
-    # an integer array may read an entry more than once
-    gathers = any(isinstance(k, (list, np.ndarray)) and np.asarray(k).dtype.kind in "iu"
-                  for k in (key if isinstance(key, tuple) else (key,)))
 
     def vjp(g):
-        z = np.zeros_like(a.data)
+        # an integer array may read an entry more than once
+        gathers = any(isinstance(k, (list, np.ndarray))
+                      and np.asarray(k).dtype.kind in "iu"
+                      for k in (key if isinstance(key, tuple) else (key,)))
+        z = np.zeros(a.shape, a.data.dtype)  # np.zeros_like costs twice as much
         if gathers:  # each read of an entry adds its gradient
             np.add.at(z, key, g)
         else:  # np.add.at is some 30x slower on a basic slice
@@ -420,6 +434,40 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (y * (g - dot),)
 
     return _emit("softmax", (a,), y, vjp)
+
+
+def log_softmax_gather(a: Tensor, index: tuple[np.ndarray, ...], axis: int = -1
+                       ) -> Tensor:
+    """``log_softmax(a, axis)[index]`` as one node, for an ``index`` of
+    integer arrays (which may repeat an entry): ``a`` shifted by its max (a
+    constant, which the result does not depend on) less the log-sum-exp,
+    finite wherever ``a`` is.
+
+    It runs the float ops of the chain ``add``, ``exp``, ``sum_``, ``log``,
+    ``scale(-1)``, ``add`` and a gather in their order, forward and
+    backward, so values and gradients are those of the chain."""
+    a = _as_tensor(a)
+    shifted = a.data + -np.maximum.reduce(a.data, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = np.add.reduce(e, axis=axis, keepdims=True)
+    sl = np.log(s)
+    sl *= -1.0
+    # (shifted + sl)[index], adding only the picked entries: each reads its
+    # slice's entry of sl, the one at index 0 along the reduced axis
+    ax = axis % a.ndim
+    out = shifted[index]
+    out += sl[index[:ax] + (0,) + index[ax + 1:] if ax < len(index) else index]
+
+    def vjp(g):
+        z = np.zeros(a.shape, a.data.dtype)
+        np.add.at(z, index, g)  # each read of an entry adds its gradient
+        gs = _unbroadcast(z, s.shape) * -1.0  # may be z itself: out of place
+        gs /= s
+        gs = gs * e  # broadcast along the axis, as sum_'s rule does
+        z += gs
+        return (z,)
+
+    return _emit("log_softmax_gather", (a,), out, vjp)
 
 
 def layer_norm(a: Tensor, axis: int = -1, gain: Tensor | None = None,
@@ -507,16 +555,16 @@ def log(a: Tensor) -> Tensor:
 
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = np.add.reduce(a.data, axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        z = np.empty_like(a.data)  # each entry gets its sum's gradient
+        z[...] = g  # a broadcasting copy, without np.broadcast_to's Python
+        return (z,)
 
-    return _emit("sum", (a,), np.asarray(out), vjp)
+    return _emit("sum", (a,), out, vjp)
 
 
 def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -576,13 +624,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values; gradient is zero outside [lo, hi]."""
     out = masked_fill(a, a.data < lo, lo)
     return masked_fill(out, out.data > hi, hi)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """log(softmax(a)), finite wherever ``a`` is: shifted by the max (a
-    constant, which the result does not depend on) less the log-sum-exp."""
-    shifted = add(a, Tensor(-a.data.max(axis=axis, keepdims=True)))
-    return add(shifted, scale(log(sum_(exp(shifted), axis=axis, keepdims=True)), -1.0))
 
 
 def add_all(tensors: Sequence[Tensor]) -> Tensor:
@@ -744,7 +785,7 @@ def gated_cross_attention(x: Tensor, ln_g: Tensor, ln_b: Tensor, down: Tensor,
         k, v = (vis @ wk, vis @ wv) if kv is None else kv
         c = 1.0 / math.sqrt(q.shape[-1])
         att, p = _attention_forward(q, k, v, c, hidden)
-        row = (~hidden).any(axis=-1, keepdims=True).astype(np.float64)
+        row = np.logical_or.reduce(~hidden, axis=-1, keepdims=True).astype(np.float64)
         zm = att @ up
         zm *= row
         tg = np.tanh(gate)
@@ -823,6 +864,8 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    internal = tape._output_ids
+    owned: set[int] = set()  # leaves whose grad this call made
     for node in reversed(tape.nodes):
         g = grads.pop(id(node.output), None)
         if g is None:
@@ -830,14 +873,21 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
         for t, gi in zip(node.inputs, node.vjp(g)):
             if gi is None or not t.requires_grad:
                 continue
-            gi = np.asarray(gi, dtype=t.data.dtype).reshape(t.shape)
-            if tape.is_internal(t):
+            data = t.data
+            if type(gi) is not np.ndarray or gi.dtype != data.dtype:
+                gi = np.asarray(gi, dtype=data.dtype)
+            if gi.shape != data.shape:
+                gi = gi.reshape(data.shape)
+            if id(t) in internal:
+                # out of place: an add hands one array to both its inputs
                 acc = grads.get(id(t))
                 grads[id(t)] = gi if acc is None else acc + gi
+            elif id(t) in owned:
+                t.grad += gi
             else:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad = t.grad + gi
+                # 0 + gi, as a zero-filled buffer would give: -0.0 turns to 0.0
+                t.grad = gi + 0.0 if t.grad is None else t.grad + gi
+                owned.add(id(t))
 
 
 def zero_grads(params) -> None:

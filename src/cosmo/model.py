@@ -32,6 +32,7 @@ array per distinct document, docs x window_len x d_model x 8 B in all.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -198,12 +199,22 @@ _BLOCK_WEIGHTS = ("ln1_g", "ln1_b", "wq", "wk", "wv", "wo", "ln2_g", "ln2_b",
 _FUSION_WEIGHTS = ("ln_g", "ln_b", "down", "wq", "wk", "wv", "up", "gate")
 
 
-def _causal(s: int, start: int) -> np.ndarray | None:
+@functools.lru_cache(maxsize=4)
+def _upper_triangle(n: int) -> np.ndarray:
+    """The read-only [n, n] mask of the entries above the diagonal."""
+    full = np.triu(np.ones((n, n), dtype=bool), k=1)
+    full.flags.writeable = False
+    return full
+
+
+def _causal(s: int, start: int, max_seq: int) -> np.ndarray | None:
     """[s, start + s]: the keys each of ``s`` positions at ``start..`` may not
-    attend to, the later ones; None for one position, which sees every key."""
+    attend to, the later ones; None for one position, which sees every key.
+    A read-only view of one mask per context size ``max_seq``."""
     if s == 1:
         return None
-    return np.triu(np.ones((s, start + s), dtype=bool), k=1 + start)
+    end = start + s
+    return _upper_triangle(max(max_seq, end))[start:end, :end]
 
 
 def _block(model: Model, i: int, x: Tensor, causal: np.ndarray,
@@ -245,7 +256,7 @@ def encode_text_unimodal(model: Model, token_ids, cache: dict | None = None,
                          f"{model.config.max_seq}")
     h = ad.add(ad.embedding_lookup(model.param("frozen/tok_embed"), ids),
                model.param("frozen/pos_embed")[start:end, :])
-    causal = _causal(ids.shape[1], start)
+    causal = _causal(ids.shape[1], start, model.config.max_seq)
     for i in range(model.config.split_index):
         h = _block(model, i, h, causal, cache)
     return h
@@ -360,7 +371,7 @@ def fuse_and_decode(model: Model, text_hidden: Tensor, visual: Tensor | None,
     n_media = 0 if visual is None else visual.shape[1] // c.n_latents
     hidden = _media_hidden(media_positions, n_media, c.n_latents, start, start + s)
     h = text_hidden
-    causal = _causal(s, start)
+    causal = _causal(s, start, c.max_seq)
     fusion_at = set(c.fusion_positions())
     for i in range(c.split_index, c.n_layers_total):
         if i in fusion_at and visual is not None:
@@ -458,31 +469,41 @@ def logit_scale(model: Model) -> Tensor:
 def lm_loss(logits: Tensor, targets, loss_mask) -> Tensor:
     """Mean next-token NLL over unmasked positions: row ``i`` of ``logits``
     [seq, vocab] predicts ``targets[i]``; rows past the targets are unread.
-    A target outside [0, vocab) raises ``ValueError``."""
+    A target outside [0, vocab), more targets than rows, or a mask of
+    another length than the targets raises ``ValueError``."""
     targets = np.asarray(targets, dtype=np.int64)
-    vocab = logits.shape[-1]
+    mask = np.asarray(loss_mask, dtype=np.float64)
+    rows, vocab = logits.shape[0], logits.shape[-1]
+    if len(targets) > rows:
+        raise ValueError(f"lm_loss: {len(targets)} targets for {rows} rows of logits")
+    if mask.shape != targets.shape:
+        raise ValueError(f"lm_loss: loss mask of length {mask.size} for "
+                         f"{len(targets)} targets")
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
         bad = targets[(targets < 0) | (targets >= vocab)][0]
         raise ValueError(f"lm_loss: target id {bad} outside the vocabulary "
                          f"[0, {vocab})")
-    mask = np.asarray(loss_mask, dtype=np.float64)
-    count = mask.sum()
+    count = np.add.reduce(mask)
     if count == 0:
         raise ValueError("lm_loss: every position is masked")
-    picked = ad.log_softmax(logits, axis=-1)[np.arange(len(targets)), targets]
+    picked = ad.log_softmax_gather(logits, (np.arange(len(targets)), targets), axis=-1)
     return ad.scale(ad.sum_(ad.mul(picked, Tensor(mask))), -1.0 / count)
 
 
 def contrastive_loss(text_emb: Tensor, image_emb: Tensor, scale_t) -> Tensor:
     """Symmetric InfoNCE over the [n, d_embed] pairs of a batch; ``scale_t``
-    is 1/temperature (Tensor or float)."""
+    is 1/temperature (Tensor or float). Batches of unequal size raise
+    ``ValueError``."""
     n = text_emb.shape[0]
     if n < 1:
         raise ValueError("contrastive_loss: empty batch")
+    if image_emb.shape[0] != n:
+        raise ValueError(f"contrastive_loss: {n} texts against "
+                         f"{image_emb.shape[0]} media")
     logits = ad.mul(ad.matmul(image_emb, ad.transpose(text_emb)), scale_t)
     pairs = (np.arange(n), np.arange(n))
-    to_text = ad.log_softmax(logits, axis=-1)[pairs]
-    to_media = ad.log_softmax(logits, axis=0)[pairs]
+    to_text = ad.log_softmax_gather(logits, pairs, axis=-1)
+    to_media = ad.log_softmax_gather(logits, pairs, axis=0)
     return ad.scale(ad.sum_(ad.add(to_text, to_media)), -0.5 / n)
 
 

@@ -14,11 +14,13 @@ A source batch encodes each frozen input once for both losses, as CoCa (Yu
 et al. 2022, arXiv 2205.01917) runs its text encoder once. All the batch's
 media go through one ``encode_media`` call, whose rows feed each sample's
 fusion half and the media tower. Each sample's first-half states feed its
-fusion half and the text tower. A sample that is its whole document keeps
-them in ``Model.unimodal_states``, so later epochs reuse them; a cut window
-is encoded anew each time, since its states change with the cut. A kept
-row and a fresh one come from the same one-row ``encode_text_unimodal``
-pass, so they are the same bytes and resume stays bit-identical.
+fusion half and the text tower. The batch's cut windows, whose states change
+with the cut, are encoded anew each time in one right-padded
+``encode_text_unimodal`` pass. A sample that is its whole document keeps its
+states in ``Model.unimodal_states``, so later epochs reuse them. A kept row
+and a fresh one still come from the same one-row pass, so they are the same
+bytes and resume stays bit-identical; a window's row from the padded pass may
+differ from a one-row pass in the last bit, as BLAS blocks a batch otherwise.
 """
 
 from __future__ import annotations
@@ -317,37 +319,66 @@ def clip_gradients(model: cm.Model, max_norm: float) -> float:
 def adamw_update(model: cm.Model, state: TrainState, lr: float,
                  config: TrainConfig) -> None:
     """One AdamW step. A parameter is bias-corrected by its own count of
-    updates, so one that sat out some steps resumes with a fresh-sized step."""
+    updates, so one that sat out some steps resumes with a fresh-sized step.
+
+    The step runs once over the parameters with a gradient, laid end to end
+    in one vector, with each element's bias corrections and decay repeated
+    from its parameter. Elementwise it is the per-parameter formula, so the
+    values are the same; parameters and moments are rebound to views of the
+    fresh vectors, never written in place."""
     b1, b2 = ADAM_BETAS
     state.opt_steps += 1
-    for name, p in model.learnable_params.items():
-        g = p.grad
-        if g is None:  # untouched this step: no moment update, no decay
+    live = [(name, p) for name, p in model.learnable_params.items()
+            if p.grad is not None]  # an untouched one: no moment update, no decay
+    if not live:
+        return
+    steps = []
+    for name, _ in live:
+        steps.append(state.param_steps[name] + 1)
+        state.param_steps[name] = steps[-1]
+    sizes = [p.data.size for _, p in live]
+    g, m, v, data = (np.concatenate([a.ravel() for a in arrays]) for arrays in (
+        [p.grad for _, p in live], [state.adam_m[n] for n, _ in live],
+        [state.adam_v[n] for n, _ in live], [p.data for _, p in live]))
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    mhat = m / np.repeat([1 - b1 ** t for t in steps], sizes)
+    vhat = v / np.repeat([1 - b2 ** t for t in steps], sizes)
+    update = mhat / (np.sqrt(vhat) + 1e-8)
+    if config.weight_decay:
+        decays = np.repeat([not _no_decay(n) for n, _ in live], sizes)
+        update = np.where(decays, update + config.weight_decay * data, update)
+    data = data - lr * update
+    offsets = np.cumsum([0] + sizes)
+    for (name, p), lo, hi in zip(live, offsets, offsets[1:]):
+        shape = p.data.shape
+        state.adam_m[name] = m[lo:hi].reshape(shape)
+        state.adam_v[name] = v[lo:hi].reshape(shape)
+        p.data = data[lo:hi].reshape(shape)
+
+
+def _text_states(model: cm.Model, batch: list[Sample]) -> list[Tensor]:
+    """First-half states [1, seq, d] of each sample of ``batch``. The cut
+    windows come from one right-padded ``encode_text_unimodal`` pass, each
+    row cut back to its length. A whole document comes from a one-row pass,
+    kept in ``model.unimodal_states`` and read back from there on later
+    visits."""
+    cut = [s.token_ids for s in batch if not s.whole]
+    fresh = cm.encode_text_unimodal(model, cut) if cut else None
+    states, row = [], 0
+    for s in batch:
+        if not s.whole:
+            states.append(fresh[row:row + 1, :len(s.token_ids)])
+            row += 1
             continue
-        t = state.param_steps[name] = state.param_steps[name] + 1
-        m = state.adam_m[name] = b1 * state.adam_m[name] + (1 - b1) * g
-        v = state.adam_v[name] = b2 * state.adam_v[name] + (1 - b2) * g * g
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
-        update = mhat / (np.sqrt(vhat) + 1e-8)
-        if config.weight_decay and not _no_decay(name):
-            update = update + config.weight_decay * p.data
-        p.data = p.data - lr * update
-
-
-def _text_states(model: cm.Model, s: Sample) -> Tensor:
-    """First-half states [1, seq, d] of ``s`` from a one-row
-    ``encode_text_unimodal`` pass, kept in ``model.unimodal_states`` when
-    ``s`` is a whole document and read back from there on later visits."""
-    if not s.whole:
-        return cm.encode_text_unimodal(model, [s.token_ids])
-    key = tuple(s.token_ids)
-    states = model.unimodal_states.get(key)
-    if states is None:
-        states = cm.encode_text_unimodal(model, [s.token_ids]).data
-        states.flags.writeable = False
-        model.unimodal_states[key] = states
-    return Tensor(states)
+        key = tuple(s.token_ids)
+        kept = model.unimodal_states.get(key)
+        if kept is None:
+            kept = cm.encode_text_unimodal(model, [s.token_ids]).data
+            kept.flags.writeable = False
+            model.unimodal_states[key] = kept
+        states.append(Tensor(kept))
+    return states
 
 
 def _batch_losses(model: cm.Model, batch: list[Sample], contrastive: bool
@@ -360,7 +391,7 @@ def _batch_losses(model: cm.Model, batch: list[Sample], contrastive: bool
     batch's media. The text tower pads the pairs' states into one [P, W, d]
     batch, each row pooled over its own caption span; the media tower reads
     each pair's first media item."""
-    states = [_text_states(model, s) for s in batch]
+    states = _text_states(model, batch)
     media = cm.encode_media(model, [f for s in batch for f in s.media_features])
     first = np.cumsum([0] + [len(s.media_features) for s in batch])
     per = []

@@ -719,6 +719,21 @@ def test_lm_loss_rejects_targets_outside_the_vocabulary(bad):
         cm.lm_loss(Tensor(np.zeros((3, 4))), [0, bad, 1], [1, 1, 1])
 
 
+def test_lm_loss_rejects_a_mask_of_another_length():
+    # a length-1 mask used to broadcast over the targets without a word
+    logits = Tensor(np.random.default_rng(0).normal(size=(3, 5)))
+    with pytest.raises(ValueError, match="loss mask of length 1 for 2 targets"):
+        cm.lm_loss(logits, [0, 1], [1])
+    with pytest.raises(ValueError, match="loss mask of length 3 for 2 targets"):
+        cm.lm_loss(logits, [0, 1], [1, 1, 1])
+
+
+def test_lm_loss_rejects_more_targets_than_rows():
+    # this used to be a raw IndexError
+    with pytest.raises(ValueError, match="4 targets for 3 rows of logits"):
+        cm.lm_loss(Tensor(np.zeros((3, 5))), [0, 1, 2, 3], [1, 1, 1, 1])
+
+
 def test_lm_loss_respects_mask():
     z = np.zeros((2, 4))
     z[1] = [9.0, 0.0, 0.0, 0.0]
@@ -753,6 +768,15 @@ def test_contrastive_loss_finite_where_softmax_underflows():
                    + np.diag(stable_log_softmax(logits, 0)).mean())
     assert want == 0.0
     assert abs(cm.contrastive_loss(Tensor(e), Tensor(e), 1e4).item() - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n_text,n_media", [(2, 3), (3, 2)])
+def test_contrastive_loss_rejects_batches_of_unequal_size(n_text, n_media):
+    # 2 texts against 3 media used to return a loss, 3 against 2 IndexError
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"{n_text} texts against {n_media} media"):
+        cm.contrastive_loss(Tensor(rng.normal(size=(n_text, 4))),
+                            Tensor(rng.normal(size=(n_media, 4))), 1.0)
 
 
 def test_contrastive_loss_batch_of_one_is_zero():
@@ -896,14 +920,17 @@ def test_batch_contrastive_equals_per_pair_infonce(monkeypatch):
                                text_span=(1, n - 1)))
     batch.insert(2, _sample(rng, paired=False))
 
-    calls = collections.Counter()
+    calls, rows = collections.Counter(), collections.Counter()
     for name in ("encode_text_unimodal", "encode_media"):
         monkeypatch.setattr(cm, name, lambda *a, _fn=getattr(cm, name), _name=name:
-                            calls.update([_name]) or _fn(*a))
+                            calls.update([_name]) or rows.update({_name: len(a[1])})
+                            or _fn(*a))
     got, got_grads = _value_and_grads(m, lambda: tr._batch_losses(m, batch, True)[1])
     # one encode_media per source batch, whatever mix of frames, and each
-    # sample's text encoded once for both losses
-    assert calls == {"encode_text_unimodal": len(batch), "encode_media": 1}
+    # sample's text encoded once for both losses: the samples are all cut
+    # windows, so one padded pass encodes them
+    assert calls == {"encode_text_unimodal": 1, "encode_media": 1}
+    assert rows["encode_text_unimodal"] == len(batch)
     monkeypatch.undo()
     want, want_grads = _value_and_grads(m, lambda: _contrastive_reference(m, batch))
     assert abs(float(got) - float(want)) <= 1e-12

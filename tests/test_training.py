@@ -618,6 +618,34 @@ def test_whole_documents_run_their_first_half_once(tiny_setup, monkeypatch):
     assert sorted(model.unimodal_states) == sorted(short_rows)
 
 
+def test_each_lm_loss_records_at_most_four_tape_nodes(tiny_setup, monkeypatch):
+    """One small ``_batch_losses`` call over whole and cut samples: each
+    sample's LM loss adds at most 4 tape nodes after its logits' node, which
+    guards the loss chain against regrowth. It pins no timing."""
+    vocab, _, model, tmp = tiny_setup
+    sources = whole_and_cut_sources(tmp, vocab, cfg())
+    rng = np.random.default_rng(0)
+    batch = []
+    for source in sources:
+        source.reset_epoch(rng)
+        batch += source.next_batch(rng)
+    assert {s.whole for s in batch} == {True, False}
+    after = []
+    lm_loss = cm.lm_loss
+
+    def recording(logits, *rest):
+        out = lm_loss(logits, *rest)
+        outputs = [node.output for node in ad.active_tape().nodes]
+        after.append(len(outputs) - 1 - outputs.index(logits))
+        return out
+
+    monkeypatch.setattr(cm, "lm_loss", recording)
+    with ad.Tape():
+        tr._batch_losses(model, batch, True)
+    assert len(after) == len(batch)
+    assert max(after) <= 4, after
+
+
 def test_encode_media_runs_once_per_source_batch(tiny_setup, monkeypatch):
     vocab, _, model, tmp = tiny_setup
     config = cfg(max_steps=2)
